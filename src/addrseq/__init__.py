@@ -3,10 +3,11 @@
 A full-rank m x m binary matrix defines an ordering of all 2^m
 addresses: evaluate row combinations directly against a counter, or
 replay the gray-code switching sequence one row-XOR at a time.  The
-package provides both engines, their reversed/shifted/offset variants,
-constructors for the standard matrix families, random-matrix rank
-statistics, and an analysis suite that verifies the defining
-completeness and balance properties.
+package provides both engines and their reversed/shifted/offset
+variants, all evaluated in closed form by one kernel, constructors for
+the standard matrix families, random-matrix rank statistics, and an
+analysis suite that verifies the defining completeness and balance
+properties.
 """
 
 __version__ = "0.1.0"

@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .analysis import analyze, format_report
@@ -118,6 +119,16 @@ def _read_lines(path: str | None) -> list[str]:
         return fh.read().splitlines()
 
 
+def _write_lines(lines: Iterable[str]) -> None:
+    try:
+        sys.stdout.writelines(line + "\n" for line in lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`gen | head`), which is not an error; point
+        # stdout at devnull so the interpreter's final flush stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _cmd_gen(args) -> int:
     if args.matrix:
         matrix = _load_matrix(args.matrix)
@@ -143,8 +154,7 @@ def _cmd_gen(args) -> int:
     else:
         stream = generate_recursive(matrix, args.a0, args.b0, args.count)
 
-    for line in format_lines(stream.words(), m, args.format):
-        print(line)
+    _write_lines(format_lines(stream.words(), m, args.format))
     return 0
 
 
@@ -201,8 +211,7 @@ def _cmd_permute(args) -> int:
         raise ValueError(f"--perm expects a comma list of positions, got {args.perm!r}") from None
     words = parse_lines(_read_lines(args.input), args.m, args.in_format)
     stream = permute_address_bits(AddressStream.from_words(args.m, words), perm)
-    for line in format_lines(stream.words(), args.m, args.format):
-        print(line)
+    _write_lines(format_lines(stream.words(), args.m, args.format))
     return 0
 
 

@@ -8,9 +8,13 @@ Four interchangeable formats, one address per line:
 * ``csv`` - header ``n,address_dec,address_bin,hamming_to_prev`` then one
   row per address (the first row's distance column is empty)
 
-Parsing accepts any of these; ``auto`` detection prefers csv (header
-present), then bin (every line is exactly m characters of 0/1), then
-dec (all-digit lines), then hex.  Emitted output always round-trips.
+Parsing accepts any of these.  ``auto`` detection prefers csv (header
+present), then bin (every line is exactly m characters of 0/1).  Lines
+that all have exactly ceil(m/4) hex digits read as hex unless they are
+also canonical decimal (no leading zeros); all-digit lines that are not
+hex-shaped read as dec.  Lines valid both ways read as dec when the two
+readings agree, and are a parse error when they differ.  Anything else
+is tried as hex.  Emitted output always round-trips.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from typing import Iterable, Iterator, Sequence
 FORMATS = ("bin", "dec", "hex", "csv")
 
 CSV_HEADER = "n,address_dec,address_bin,hamming_to_prev"
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_AMBIGUOUS = "reads as both dec and hex; pass --format"
 
 
 class SequenceParseError(ValueError):
@@ -55,16 +62,28 @@ def format_lines(words: Iterable[int], m: int, fmt: str = "bin") -> Iterator[str
 
 
 def detect_format(lines: Sequence[str], m: int) -> str:
-    """Pick the format of already-stripped, non-empty lines."""
+    """Pick the format of already-stripped, non-empty lines.
+
+    Raises SequenceParseError, numbered within `lines`, when the lines
+    read as both dec and hex with different values.
+    """
     if not lines:
         return "bin"
     if lines[0] == CSV_HEADER:
         return "csv"
     if all(len(ln) == m and set(ln) <= {"0", "1"} for ln in lines):
         return "bin"
-    if all(ln.isdigit() for ln in lines):
-        return "dec"
-    return "hex"
+    digits = (m + 3) // 4
+    hex_shaped = all(len(ln) == digits and not set(ln) - _HEX_DIGITS for ln in lines)
+    decimal = all(ln.isdigit() for ln in lines)
+    if not hex_shaped:
+        return "dec" if decimal else "hex"
+    if not decimal or any(ln[0] == "0" and ln != "0" for ln in lines):
+        return "hex"
+    for i, ln in enumerate(lines, start=1):
+        if int(ln, 16) != int(ln, 10):
+            raise SequenceParseError(i, ln, _AMBIGUOUS)
+    return "dec"
 
 
 def parse_lines(lines: Iterable[str], m: int, fmt: str = "auto") -> list[int]:
@@ -76,7 +95,10 @@ def parse_lines(lines: Iterable[str], m: int, fmt: str = "auto") -> list[int]:
     numbered = [(i, ln.strip()) for i, ln in enumerate(lines, start=1)]
     numbered = [(i, ln) for i, ln in numbered if ln]
     if fmt == "auto":
-        fmt = detect_format([ln for _, ln in numbered], m)
+        try:
+            fmt = detect_format([ln for _, ln in numbered], m)
+        except SequenceParseError as exc:
+            raise SequenceParseError(numbered[exc.lineno - 1][0], exc.line, _AMBIGUOUS) from None
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
 

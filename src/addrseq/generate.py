@@ -1,19 +1,30 @@
 """Address sequence engines.
 
-Two interchangeable formulations generate the same family of sequences:
+Every address the paper's generator emits is a GF(2) linear combination
+of the matrix rows, selected by a counter.  So each engine variant is a
+constant XORed onto a linear map of a contiguous counter range:
 
-* direct: address ``n`` is the XOR of the matrix rows selected by the
-  bits of the counter value ``n`` itself;
-* recursive: each address is the previous one XORed with the single row
-  picked by the gray-code switching index of an up-counter, i.e. one
-  XOR per emitted address.
+    address(n) = const ^ combine(basis, (start + n) mod 2^m)
 
-The two are linked by the basis transforms in `addrseq.gf2`: a recursive
-run over ``V`` equals a direct run over ``difference_basis(V)``, and a
-direct run over ``V`` equals a recursive run over ``cumulative_basis(V)``.
-Reversed (down) and shifted variants are derived from the recursive
-form; both are set up analytically in O(m), never by iterating a full
-period.
+and one kernel, `_affine_words`, evaluates that closed form for all of
+them.  With ``D`` the difference words of ``V`` (row 1 kept, row i
+replaced by ``V[i-1] ^ V[i]``), the engines map to (basis, const, start):
+
+* direct(V): ``(V, 0, 0)``; address ``n`` is the rows picked by ``n``;
+* recursive(V, a0, b0): ``(D, a0 ^ combine(D, b0), b0)``; the up-run that
+  starts at address ``a0`` with counter ``b0`` and XORs in one row per
+  step, picked by the gray-code switching index of the counter;
+* shifted(V, L): ``(D, 0, L)``; the zero-initialized up-run rotated by L;
+* down(V, a0, b0): ``(D, a0 ^ combine(D, b0) ^ combine(D, 2^m - 1), -b0)``;
+  the exact reversal of the up-run, because
+  ``(b0 - 1 - n) mod 2^m = (2^m - 1) XOR ((n - b0) mod 2^m)``;
+* address_at(V, p): ``combine(D, p)``.
+
+The recursive forms rest on ``combine(V, gray(c)) = combine(D, c)``: the
+gray-coded counter selects rows of ``V`` exactly as the plain counter
+selects rows of ``D``.  The library never steps one XOR at a time; that
+hardware model is kept in the tests as the reference the kernel is
+checked against.
 
 Every full-length run over a full-rank matrix visits each of the ``2^m``
 addresses exactly once, for any choice of initial address and initial
@@ -23,27 +34,37 @@ counter state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .gf2 import (
-    BitsLike,
-    BitVector,
-    GenerationMatrix,
-    as_bitvector,
-    difference_basis,
-)
-from .gray import gray_value
+from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, _difference_words, as_bitvector
+
+_BLOCK_BITS = 12  # the table and each block's list hold at most 2^12 words
 
 
-def _combine(words: tuple[int, ...], selector: int) -> int:
-    acc = 0
-    i = 0
-    while selector:
-        if selector & 1:
-            acc ^= words[i]
-        selector >>= 1
-        i += 1
-    return acc
+def _affine_words(
+    basis: Sequence[int], m: int, const: int, start: int, count: int
+) -> Iterator[int]:
+    """Yield ``const ^ combine(basis, (start + n) mod 2^m)`` for ``n < count``.
+
+    A table over the low k counter bits (2^k no larger than `count`
+    needs) is built once; each aligned 2^k block of the counter then
+    costs one row combination for its high bits and one list of XORs.
+    Blocks never straddle the 2^m wrap, because 2^k divides 2^m.
+    """
+    k = min(_BLOCK_BITS, max(count - 1, 0).bit_length())
+    table = [0]
+    for row in basis[:k]:
+        table += [t ^ row for t in table]
+    low_mask = (1 << k) - 1
+    mask = (1 << m) - 1
+    c = start & mask
+    while count > 0:
+        lo = c & low_mask
+        take = min(low_mask + 1 - lo, count)
+        high = const ^ _combine(basis, c - lo)
+        yield from [high ^ t for t in table[lo : lo + take]]
+        count -= take
+        c = (c + take) & mask
 
 
 @dataclass(frozen=True)
@@ -129,159 +150,80 @@ class AddressStream:
         return f"<AddressStream m={self.m} count={self.count} cursor={self.cursor}>"
 
 
-def _direct_words(words: tuple[int, ...], count: int) -> Iterator[int]:
-    # Precomputed 8-bit-chunk combination tables turn each evaluation
-    # into one table lookup per chunk instead of one XOR per set bit.
-    if count <= 0:
-        return
-    bits = (count - 1).bit_length()
-    tables = []
-    for base in range(0, bits, 8):
-        nbits = min(8, bits - base)
-        tab = [0] * (1 << nbits)
-        for pat in range(1, 1 << nbits):
-            low = pat & -pat
-            tab[pat] = tab[pat ^ low] ^ words[base + low.bit_length() - 1]
-        tables.append((base, tab, (1 << nbits) - 1))
-    if len(tables) == 1:
-        _, tab, mask = tables[0]
-        for n in range(count):
-            yield tab[n & mask]
-    else:
-        for n in range(count):
-            acc = 0
-            for base, tab, mask in tables:
-                acc ^= tab[(n >> base) & mask]
-            yield acc
-
-
-def _recursive_words(words, m: int, a0: int, b0: int, count: int) -> Iterator[int]:
-    if count <= 0:
-        return
-    mask = (1 << m) - 1
-    acc = a0
-    yield acc
-    c = b0
-    for _ in range(count - 1):
-        c = (c + 1) & mask
-        # switching index of the gray-coded counter; wrap into 0 selects row m
-        idx = m if c == 0 else (c & -c).bit_length()
-        acc ^= words[idx - 1]
-        yield acc
-
-
-def _resolve(matrix: GenerationMatrix, count: int | None) -> int:
-    matrix.require_full_rank()
-    full = 1 << matrix.m
-    if count is None:
-        return full
-    if not 0 <= count <= full:
-        raise ValueError(f"count must be in 0..2^{matrix.m}, got {count}")
-    return count
-
-
 def generate_direct(matrix: GenerationMatrix, count: int | None = None) -> AddressStream:
     """Direct sequence: address ``n`` is the row combination selected by ``n``.
 
     Runs the plain binary counter from zero; with the identity matrix
     the output is the counter itself.
     """
-    count = _resolve(matrix, count)
     spec = SequenceSpec(matrix, 0, 0, "up", count)
-    return AddressStream(
-        matrix.m, count, _direct_words(matrix.row_words, count), spec, engine="direct"
-    )
+    words = _affine_words(matrix.row_words, spec.m, 0, 0, spec.count)
+    return AddressStream(spec.m, spec.count, words, spec, engine="direct")
 
 
 def generate_recursive(
-    matrix: GenerationMatrix | SequenceSpec,
+    matrix: GenerationMatrix,
     a0: BitsLike = 0,
     b0: BitsLike = 0,
     count: int | None = None,
 ) -> AddressStream:
-    """Recursive sequence: one row XOR per address after the first.
+    """Recursive sequence: the paper's one-row-XOR-per-step up-run.
 
     The first address is `a0`; each step XORs in the row picked by the
-    switching index of the up-counter started at `b0`.  Accepts either a
-    matrix plus initial values or a ready-made up-direction SequenceSpec.
+    switching index of the up-counter started at `b0`.  Evaluated in
+    closed form over the difference words, ``(D, a0 ^ combine(D, b0), b0)``.
     """
-    if isinstance(matrix, SequenceSpec):
-        spec = matrix
-        if spec.direction != "up":
-            raise ValueError("generate_recursive requires an up-direction spec")
-    else:
-        spec = SequenceSpec(matrix, a0, b0, "up", count)
-    return AddressStream(
-        spec.m,
-        spec.count,
-        _recursive_words(spec.matrix.row_words, spec.m, spec.a0.word, spec.b0.word, spec.count),
-        spec,
-        engine="recursive",
-    )
+    return generate(SequenceSpec(matrix, a0, b0, "up", count))
 
 
 def generate_down(
-    matrix: GenerationMatrix | SequenceSpec,
+    matrix: GenerationMatrix,
     a0: BitsLike = 0,
     b0: BitsLike = 0,
     count: int | None = None,
 ) -> AddressStream:
     """Exact reversal of the corresponding up-run: ``down(n) = up(2^m - 1 - n)``.
 
-    The final up-address is computed analytically in O(m) and used as
-    the starting address; the counter starts at ``-b0 mod 2^m`` so that
-    the switching indices replay the up-run's indices backwards.
+    Evaluated in closed form over the difference words as
+    ``(D, a0 ^ combine(D, b0) ^ combine(D, 2^m - 1), -b0 mod 2^m)``.
     """
-    if isinstance(matrix, SequenceSpec):
-        spec_in = matrix
-        spec = SequenceSpec(spec_in.matrix, spec_in.a0, spec_in.b0, "down", spec_in.count)
-    else:
-        spec = SequenceSpec(matrix, a0, b0, "down", count)
-    m = spec.m
-    full = 1 << m
-    words = spec.matrix.row_words
-    b0w = spec.b0.word
-    # up(n) = a0 ^ combine(V, gray(b0) ^ gray(b0 + n)); evaluate at n = 2^m - 1
-    final = spec.a0.word ^ _combine(words, gray_value(b0w) ^ gray_value((b0w - 1) & (full - 1)))
-    return AddressStream(
-        m,
-        spec.count,
-        _recursive_words(words, m, final, (-b0w) & (full - 1), spec.count),
-        spec,
-        engine="recursive",
-    )
+    return generate(SequenceSpec(matrix, a0, b0, "down", count))
 
 
 def address_at(matrix: GenerationMatrix, position: int) -> BitVector:
     """Address at `position` of the zero-initialized recursive run, without iterating.
 
-    Evaluated directly through the difference basis: the recursive run
-    over ``V`` is the direct run over ``difference_basis(V)``, so one
-    O(m) row combination answers any position.
+    The recursive run over ``V`` is the direct run over its difference
+    words ``D``, so one O(m) row combination, ``combine(D, position)``,
+    answers any position.
     """
     matrix.require_full_rank()
     if not 0 <= position < (1 << matrix.m):
         raise ValueError(f"position must be in 0..2^{matrix.m}-1, got {position}")
-    return BitVector(matrix.m, _combine(difference_basis(matrix).row_words, position))
+    return BitVector(matrix.m, _combine(_difference_words(matrix.row_words), position))
 
 
 def generate_shifted(matrix: GenerationMatrix, shift: int, count: int | None = None) -> AddressStream:
     """Rotation of the zero-initialized recursive run by `shift` positions.
 
-    Sets the counter start to `shift` and the starting address to the
-    unshifted run's address at that position, so
-    ``shifted(n) = up((n + shift) mod 2^m)``.
+    ``shifted(n) = up((n + shift) mod 2^m)``: the up-run with counter
+    start `shift` and starting address ``address_at(matrix, shift)``,
+    which the kernel evaluates as ``(D, 0, shift)``.
     """
-    count = _resolve(matrix, count)
     if not 0 <= shift < (1 << matrix.m):
         raise ValueError(f"shift must be in 0..2^{matrix.m}-1, got {shift}")
-    a0 = address_at(matrix, shift)
-    spec = SequenceSpec(matrix, a0, shift, "up", count)
-    return generate_recursive(spec)
+    return generate(SequenceSpec(matrix, address_at(matrix, shift), shift, "up", count))
 
 
 def generate(spec: SequenceSpec) -> AddressStream:
-    """Run the engine described by a SequenceSpec (up or down)."""
+    """Run the recursive engine a SequenceSpec describes, up or down."""
+    m = spec.m
+    diff = _difference_words(spec.matrix.row_words)
+    b0 = spec.b0.word
+    const = spec.a0.word ^ _combine(diff, b0)
     if spec.direction == "down":
-        return generate_down(spec.matrix, spec.a0, spec.b0, spec.count)
-    return generate_recursive(spec)
+        mask = (1 << m) - 1
+        const ^= _combine(diff, mask)
+        b0 = -b0 & mask
+    words = _affine_words(diff, m, const, b0, spec.count)
+    return AddressStream(m, spec.count, words, spec, engine="recursive")

@@ -242,6 +242,21 @@ def matrix_rank(matrix: GenerationMatrix) -> int:
     return matrix.rank
 
 
+def _combine(words: Sequence[int], selector: int) -> int:
+    # XOR of words[i] for every set bit i of the selector, lowest bit first
+    acc = 0
+    while selector:
+        low = selector & -selector
+        acc ^= words[low.bit_length() - 1]
+        selector ^= low
+    return acc
+
+
+def _difference_words(words: Sequence[int]) -> tuple[int, ...]:
+    # adjacent XOR with an implicit zero word above the first
+    return tuple(prev ^ w for prev, w in zip((0, *words), words))
+
+
 def linear_combination(matrix: GenerationMatrix, selector: BitsLike) -> BitVector:
     """XOR of the rows picked by the selector's bits.
 
@@ -250,15 +265,7 @@ def linear_combination(matrix: GenerationMatrix, selector: BitsLike) -> BitVecto
     a generated sequence is one such combination.
     """
     sel = as_bitvector(selector, matrix.m).word
-    acc = 0
-    words = matrix.row_words
-    i = 0
-    while sel:
-        if sel & 1:
-            acc ^= words[i]
-        sel >>= 1
-        i += 1
-    return BitVector(matrix.m, acc)
+    return BitVector(matrix.m, _combine(matrix.row_words, sel))
 
 
 def cumulative_basis(matrix: GenerationMatrix) -> GenerationMatrix:
@@ -284,7 +291,4 @@ def difference_basis(matrix: GenerationMatrix) -> GenerationMatrix:
     row 1).  Direct evaluation of ``difference_basis(V)`` emits the same
     sequence that a recursive generator loaded with ``V`` produces.
     """
-    words = matrix.row_words
-    out = [words[0]]
-    out.extend(words[i - 1] ^ words[i] for i in range(1, len(words)))
-    return GenerationMatrix((BitVector(matrix.m, w) for w in out), matrix.m)
+    return GenerationMatrix(_difference_words(matrix.row_words), matrix.m)

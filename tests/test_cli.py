@@ -1,7 +1,12 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import addrseq
 from addrseq.cli import main
 
 from _tables import (
@@ -260,6 +265,37 @@ def test_gen_verify_round_trip_random_matrix_file(capsys, tmp_path):
     seq.write_text(out)
     code, _, _ = run_cli(capsys, "verify", "-m", "5", str(seq))
     assert code == 0
+
+
+def test_analyze_auto_detects_zero_padded_hex(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        capsys, "gen", "-m", "8", "--family", "pow2:4", "--format", "hex", "--count", "10"
+    )
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, report, _ = run_cli(capsys, "analyze", "-m", "8")
+    assert code == 0
+    assert "per_bit_ones=0,0,0,0,5,4,4,2" in report
+
+
+def test_analyze_rejects_input_that_reads_as_dec_and_hex(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("10\n20\n"))
+    code, _, err = run_cli(capsys, "analyze", "-m", "8")
+    assert code == 2
+    assert "both dec and hex" in err
+
+
+def test_gen_into_a_closed_pipe_exits_quietly():
+    # a real OS pipe whose reader stops after one line, like `gen | head -1`
+    src = str(Path(addrseq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "addrseq.cli", "gen", "-m", "16", "--family", "linear"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first == b"0" * 16 + b"\n"
+    assert (proc.returncode, err) == (0, b"")
 
 
 # -- rank-stats --------------------------------------------------------------------------

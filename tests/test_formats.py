@@ -75,3 +75,18 @@ def test_out_of_range_value_rejected():
 def test_csv_column_count_checked():
     with pytest.raises(SequenceParseError):
         parse_lines(["n,address_dec,address_bin,hamming_to_prev", "0,0,0000"], 4, "csv")
+
+
+def test_auto_detection_reads_zero_padded_hex_as_hex():
+    words = [n << 4 for n in range(10)]
+    lines = list(format_lines(words, 8, "hex"))
+    assert lines[:3] == ["00", "10", "20"]
+    assert parse_lines(lines, 8, "auto") == words
+
+
+def test_auto_detection_rejects_lines_that_read_both_ways():
+    with pytest.raises(SequenceParseError, match="both dec and hex") as exc:
+        parse_lines(["", "10", "20"], 8, "auto")
+    assert exc.value.lineno == 2
+    # single digits read the same either way, so they are not ambiguous
+    assert parse_lines(["3", "7"], 4, "auto") == [3, 7]

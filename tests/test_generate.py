@@ -1,4 +1,9 @@
+from itertools import accumulate
+from operator import xor
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addrseq import (
     AddressStream,
@@ -18,6 +23,7 @@ from addrseq import (
     verify_complete,
 )
 
+from _stepper import gray_address, step_words
 from _tables import (
     TABLE_B0_3,
     TABLE_DIRECT,
@@ -83,21 +89,16 @@ def test_offset_initial_address_xors_every_address(worked_matrix):
         assert got == [w ^ c for w in TABLE_UP]
 
 
-def test_recursive_accepts_a_spec(worked_matrix):
+def test_generate_runs_an_up_spec(worked_matrix):
     spec = SequenceSpec(worked_matrix, a0="1000", b0=3)
-    got = run(generate_recursive(spec))
+    got = run(generate(spec))
     assert got[0] == 0b1000
     assert got == [w ^ 0b1000 for w in TABLE_B0_3]
     assert got == TABLE_SHIFT_3
 
 
-def test_recursive_rejects_down_spec(worked_matrix):
-    spec = SequenceSpec(worked_matrix, direction="down")
-    with pytest.raises(ValueError):
-        generate_recursive(spec)
-
-
 def test_recursive_one_xor_per_address(worked_matrix):
+    # the stepper is the paper's hardware model: one row fetch per address after the first
     class CountingRows(tuple):
         reads = 0
 
@@ -105,10 +106,10 @@ def test_recursive_one_xor_per_address(worked_matrix):
             CountingRows.reads += 1
             return tuple.__getitem__(self, i)
 
-    object.__setattr__(worked_matrix, "_words", CountingRows(worked_matrix.row_words))
-    CountingRows.reads = 0
-    assert run(generate_recursive(worked_matrix)) == TABLE_UP
-    assert CountingRows.reads == 15  # one row fetch per address after the first
+    stepped = step_words(CountingRows(worked_matrix.row_words), 4)
+    assert CountingRows.reads == 15
+    assert stepped == TABLE_UP
+    assert run(generate_recursive(worked_matrix)) == stepped
 
 
 # -- down engine --------------------------------------------------------------------
@@ -135,10 +136,9 @@ def test_down_is_the_exact_reversal_for_random_initials(m):
     assert down == up[::-1]
 
 
-def test_down_accepts_a_spec(worked_matrix):
+def test_generate_runs_a_down_spec(worked_matrix):
     spec = SequenceSpec(worked_matrix, direction="down")
     assert run(generate(spec)) == TABLE_DOWN
-    assert run(generate_down(spec)) == TABLE_DOWN
 
 
 def test_partial_down_and_shift_are_prefixes_of_the_full_variant(worked_matrix):
@@ -225,6 +225,48 @@ def test_full_runs_cover_the_address_space(m):
         generate_shifted(V, (1 << m) // 3),
     ):
         assert verify_complete(run(stream), m)
+
+
+@st.composite
+def engine_cases(draw):
+    """A matrix, a0, counter starts and a count: full periods up to m = 10, else
+    partial runs whose counters may cross a 2^12 block boundary or the 2^m wrap."""
+    m = draw(st.integers(1, 64))
+    full = 1 << m
+    V = random_fullrank_matrix(m, seed=draw(st.integers(0, 2**32)))
+    count = full if m <= 10 else draw(st.integers(1, min(full, 5000)))
+
+    def counter():
+        r = draw(st.integers(1, count))
+        near = [
+            r - 1,  # a down-run's counter, -b0, wraps
+            full - r,  # an up-run's counter wraps
+            (draw(st.integers(1, 1 << 52)) << 12) - r,  # just below a 2^12 block boundary
+        ]
+        return draw(st.sampled_from([draw(st.integers(0, full - 1)), *near])) % full
+
+    return V, m, draw(st.integers(0, full - 1)), counter(), counter(), count
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_cases())
+def test_every_engine_matches_the_stepper(case):
+    V, m, a0, b0, shift, count = case
+    full = 1 << m
+    rows = V.row_words
+    assert run(generate_direct(V, count)) == step_words(list(accumulate(rows, xor)), m, count=count)
+    up = step_words(rows, m, a0, b0, count)
+    assert run(generate_recursive(V, a0, b0, count)) == up
+    down = step_words(rows, m, a0, b0, count, down=True)
+    assert run(generate_down(V, a0, b0, count)) == down
+    shifted = step_words(rows, m, gray_address(rows, shift), shift, count)
+    assert run(generate_shifted(V, shift, count)) == shifted
+    if count == full:
+        assert down == up[::-1]
+        assert [address_at(V, p).word for p in range(full)] == step_words(rows, m)
+    else:
+        assert address_at(V, shift).word == shifted[0]
+        assert address_at(V, (shift + count - 1) % full).word == shifted[-1]
 
 
 # -- SequenceSpec and AddressStream -------------------------------------------------------
