@@ -41,7 +41,7 @@ for name, matrix, a0 in families:
     print(f"  distances: {profile.distances}")
     print(f"  per-bit transitions (bit 1..{M}): {profile.per_bit_transitions}")
     report = analyze(seq, M)
-    verdict = "complete, all balance checks pass" if report.ok else "NOT a valid address sequence"
+    verdict = "complete, hence balanced" if report.ok else "NOT a valid address sequence"
     print(f"  -> {verdict}, mean distance {report.mean_distance:.2f}\n")
 
 print("Switching-activity extremes across the gallery:")

@@ -3,9 +3,11 @@
 
 A valid address sequence visits all 2^m addresses exactly once; that
 forces per-bit balance (2^(m-1) ones per bit) and tuple balance (every
-r-bit pattern appears 2^(m-r) times on any r positions).  The checks
-count these properties outright, so corrupted sequences are caught with
-a pointed diagnostic.
+r-bit pattern appears 2^(m-r) times on any r positions).  `analyze`
+relies on that implication: it scans for completeness once and reports
+balance as checked when the scan passes.  `bit_balance` and
+`tuple_balance` count the properties outright.  A corrupted sequence
+fails the completeness scan with a pointed diagnostic.
 """
 
 from addrseq import (

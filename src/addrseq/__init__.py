@@ -6,15 +6,14 @@ replay the gray-code switching sequence one row-XOR at a time.  The
 package provides both engines and their reversed/shifted/offset
 variants, all evaluated in closed form by one kernel, constructors for
 the standard matrix families, random-matrix rank statistics, and an
-analysis suite that verifies the defining completeness and balance
-properties.
+analysis suite that verifies completeness, from which balance follows,
+and counts balance outright on request.
 """
 
 __version__ = "0.1.0"
 
 from .analysis import (
     ActivityReport,
-    BalanceFailure,
     Completeness,
     HammingProfile,
     IncompleteSequenceError,
@@ -81,7 +80,6 @@ from .gray import (
 __all__ = [
     "ActivityReport",
     "AddressStream",
-    "BalanceFailure",
     "BitVector",
     "Completeness",
     "FORMATS",

@@ -13,8 +13,10 @@ present), then bin (every line is exactly m characters of 0/1).  Lines
 that all have exactly ceil(m/4) hex digits read as hex unless they are
 also canonical decimal (no leading zeros); all-digit lines that are not
 hex-shaped read as dec.  Lines valid both ways read as dec when the two
-readings agree, and are a parse error when they differ.  Anything else
-is tried as hex.  Emitted output always round-trips.
+readings agree, and are a parse error when they differ.  Lines that are
+bin of one common width other than m, told by a leading zero, are a
+parse error naming that width.  Anything else is tried as hex.  Emitted
+output always round-trips.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ FORMATS = ("bin", "dec", "hex", "csv")
 CSV_HEADER = "n,address_dec,address_bin,hamming_to_prev"
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-_AMBIGUOUS = "reads as both dec and hex; pass --format"
 
 
 class SequenceParseError(ValueError):
@@ -65,8 +66,15 @@ def detect_format(lines: Sequence[str], m: int) -> str:
     """Pick the format of already-stripped, non-empty lines.
 
     Raises SequenceParseError, numbered within `lines`, when the lines
-    read as both dec and hex with different values.
+    read as both dec and hex with different values, or read as bin of
+    another width.
     """
+    return _detect(list(enumerate(lines, start=1)), m)
+
+
+def _detect(numbered: list[tuple[int, str]], m: int) -> str:
+    # numbered holds (line number, stripped line) pairs for error messages
+    lines = [ln for _, ln in numbered]
     if not lines:
         return "bin"
     if lines[0] == CSV_HEADER:
@@ -76,13 +84,17 @@ def detect_format(lines: Sequence[str], m: int) -> str:
     digits = (m + 3) // 4
     hex_shaped = all(len(ln) == digits and not set(ln) - _HEX_DIGITS for ln in lines)
     decimal = all(ln.isdigit() for ln in lines)
+    zero_led = [(i, ln) for i, ln in numbered if ln.startswith("0") and ln != "0"]
     if not hex_shaped:
+        width = len(lines[0])
+        if zero_led and all(len(ln) == width and set(ln) <= {"0", "1"} for ln in lines):
+            raise SequenceParseError(*zero_led[0], f"reads as {width}-bit bin, not {m}-bit")
         return "dec" if decimal else "hex"
-    if not decimal or any(ln[0] == "0" and ln != "0" for ln in lines):
+    if not decimal or zero_led:
         return "hex"
-    for i, ln in enumerate(lines, start=1):
+    for i, ln in numbered:
         if int(ln, 16) != int(ln, 10):
-            raise SequenceParseError(i, ln, _AMBIGUOUS)
+            raise SequenceParseError(i, ln, "reads as both dec and hex; pass --format")
     return "dec"
 
 
@@ -95,10 +107,7 @@ def parse_lines(lines: Iterable[str], m: int, fmt: str = "auto") -> list[int]:
     numbered = [(i, ln.strip()) for i, ln in enumerate(lines, start=1)]
     numbered = [(i, ln) for i, ln in numbered if ln]
     if fmt == "auto":
-        try:
-            fmt = detect_format([ln for _, ln in numbered], m)
-        except SequenceParseError as exc:
-            raise SequenceParseError(numbered[exc.lineno - 1][0], exc.line, _AMBIGUOUS) from None
+        fmt = _detect(numbered, m)
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
 

@@ -285,6 +285,16 @@ def test_analyze_rejects_input_that_reads_as_dec_and_hex(capsys, monkeypatch):
     assert "both dec and hex" in err
 
 
+def test_analyze_rejects_bin_of_another_width(capsys, monkeypatch):
+    # `gen -m 20 ... | analyze -m 40` once read the line ...0010 as ten
+    code, out, _ = run_cli(capsys, "gen", "-m", "20", "--family", "linear", "--count", "3")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, report, err = run_cli(capsys, "analyze", "-m", "40")
+    assert (code, report) == (2, "")
+    assert "reads as 20-bit bin, not 40-bit" in err
+
+
 def test_gen_into_a_closed_pipe_exits_quietly():
     # a real OS pipe whose reader stops after one line, like `gen | head -1`
     src = str(Path(addrseq.__file__).resolve().parents[1])

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from addrseq import SequenceParseError, format_lines, parse_lines
+from addrseq import FORMATS, SequenceParseError, format_lines, parse_lines
 
 from _tables import TABLE_UP
 
@@ -90,3 +92,47 @@ def test_auto_detection_rejects_lines_that_read_both_ways():
     assert exc.value.lineno == 2
     # single digits read the same either way, so they are not ambiguous
     assert parse_lines(["3", "7"], 4, "auto") == [3, 7]
+
+
+def test_auto_detection_rejects_bin_of_another_width():
+    lines = list(format_lines([0, 1, 2], 20, "bin"))
+    with pytest.raises(SequenceParseError, match="reads as 20-bit bin, not 40-bit") as exc:
+        parse_lines(["", *lines], 40, "auto")
+    assert exc.value.lineno == 2
+    # without a leading zero, 0/1 lines of another width stay decimal
+    assert parse_lines(["10", "11"], 40, "auto") == [10, 11]
+    # hex-shaped 0/1 lines keep the hex reading
+    assert parse_lines(["01", "10"], 8, "auto") == [1, 16]
+
+
+@st.composite
+def _cases(draw):
+    """A width, a format and words; some lists keep to words whose text in
+    that format also reads as another format, where auto-detection is tested."""
+    m = draw(st.integers(1, 24))
+    fmt = draw(st.sampled_from(FORMATS))
+    top, digits = 1 << m, (m + 3) // 4
+    words = st.integers(0, top - 1)
+    if draw(st.booleans()):
+        if fmt == "dec":  # 0/1 text, like bin
+            words = st.text("01", min_size=1, max_size=len(str(top - 1))).map(int)
+        elif fmt == "hex":  # digit text with no leading zero, like dec
+            lead = st.integers(1, min(9, (top - 1) >> (4 * digits - 4)))
+            rest = st.text("0123456789", min_size=digits - 1, max_size=digits - 1)
+            words = st.tuples(lead, rest).map(lambda t: int(f"{t[0]}{t[1]}", 16))
+    count = draw(st.integers(0, min(top - 1, 20)))
+    return m, fmt, draw(st.lists(words.filter(lambda w: w < top), min_size=count, max_size=count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cases())
+def test_every_format_round_trips(case):
+    m, fmt, words = case
+    lines = list(format_lines(words, m, fmt))
+    assert parse_lines(lines, m, fmt) == words
+    # auto-detection may refuse a prefix, but never misreads one
+    try:
+        detected = parse_lines(lines, m, "auto")
+    except SequenceParseError:
+        return
+    assert detected == words
