@@ -64,7 +64,6 @@ from .gf2 import (
     cumulative_basis,
     difference_basis,
     linear_combination,
-    matrix_rank,
     rank_of_words,
 )
 from .gray import (
@@ -73,7 +72,6 @@ from .gray import (
     step_index,
     switching_index,
     switching_sequence,
-    to_gray,
     wrap_index,
 )
 
@@ -120,7 +118,6 @@ __all__ = [
     "limited_matrix",
     "linear_combination",
     "linear_matrix",
-    "matrix_rank",
     "parse_lines",
     "permutation_count",
     "permute_address_bits",
@@ -131,7 +128,6 @@ __all__ = [
     "step_index",
     "switching_index",
     "switching_sequence",
-    "to_gray",
     "tuple_balance",
     "verify_complete",
     "wrap_index",

@@ -10,6 +10,12 @@ checked up to r = min(m, max_r) whenever the scan passes.
 ``bit_balance`` and ``tuple_balance`` count the occurrences outright,
 for an independent cross-examination of any generator.
 
+Every check takes the sequence as int words plus its width ``m``, for
+example ``analyze(words, m)``; a generated stream gives its words
+through ``.words()``.  Anything that is not an int (a float, a digit
+string) raises TypeError, and a word outside ``0..2^m - 1`` raises
+ValueError.
+
 Switching activity is profiled as the Hamming distance between
 consecutive addresses, plus per-bit transition counts; the sum of the
 distance profile always equals the sum of the per-bit transitions.
@@ -17,8 +23,9 @@ distance profile always equals the sum of the per-bit transitions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .gf2 import BitVector
 
@@ -27,23 +34,13 @@ class IncompleteSequenceError(ValueError):
     """Balance checks require a complete sequence (see verify_complete)."""
 
 
-def _as_words(seq: Sequence, m: int | None = None) -> tuple[list[int], int]:
-    seq = list(seq)
-    if seq and isinstance(seq[0], BitVector):
-        widths = {v.width for v in seq}
-        if len(widths) > 1:
-            raise ValueError(f"mixed widths in sequence: {sorted(widths)}")
-        inferred = widths.pop()
-        if m is not None and m != inferred:
-            raise ValueError(f"sequence width {inferred} does not match m={m}")
-        return [v.word for v in seq], inferred
-    if m is None:
-        raise ValueError("width m is required for sequences of plain ints")
-    words = [int(v) for v in seq]
+def _as_words(seq: Iterable[int], m: int) -> list[int]:
+    # operator.index refuses floats and strings, which int() would truncate or read as decimal
+    words = list(map(operator.index, seq))
     for w in words:
         if not 0 <= w < (1 << m):
             raise ValueError(f"value {w} out of range for {m} bits")
-    return words, m
+    return words
 
 
 @dataclass(frozen=True)
@@ -57,18 +54,15 @@ class Completeness:
     first_duplicate: BitVector | None = None
     first_missing: BitVector | None = None
 
-    def __bool__(self) -> bool:
-        return self.complete
 
-
-def check_completeness(seq: Sequence, m: int | None = None) -> Completeness:
-    """Scan a sequence for length 2^m with all values distinct.
+def check_completeness(words: Iterable[int], m: int) -> Completeness:
+    """Scan a sequence of m-bit words for length 2^m with all values distinct.
 
     Presence is tracked in a 2^m-bit map for m <= 28 and in a set sized
     by the input otherwise, so short sequences over wide address spaces
     stay cheap.
     """
-    return _completeness(*_as_words(seq, m))
+    return _completeness(_as_words(words, m), m)
 
 
 def _completeness(words: list[int], m: int) -> Completeness:
@@ -105,13 +99,13 @@ def _completeness(words: list[int], m: int) -> Completeness:
     return Completeness(complete, m, len(words), distinct, first_dup, first_missing)
 
 
-def verify_complete(seq: Sequence, m: int | None = None) -> bool:
+def verify_complete(words: Iterable[int], m: int) -> bool:
     """True iff the sequence contains every m-bit word exactly once."""
-    return check_completeness(seq, m).complete
+    return check_completeness(words, m).complete
 
 
-def _require_complete(seq: Sequence, m: int | None) -> tuple[list[int], int]:
-    words, m = _as_words(seq, m)
+def _require_complete(seq: Iterable[int], m: int) -> list[int]:
+    words = _as_words(seq, m)
     result = _completeness(words, m)
     if not result.complete:
         detail = f"length {result.length} of {1 << m}, {result.distinct} distinct"
@@ -123,20 +117,20 @@ def _require_complete(seq: Sequence, m: int | None) -> tuple[list[int], int]:
             f"sequence fails verify_complete ({detail}); balance is defined "
             "only for complete sequences"
         )
-    return words, m
+    return words
 
 
-def bit_balance(seq: Sequence, m: int | None = None) -> list[int]:
+def bit_balance(words: Iterable[int], m: int) -> list[int]:
     """Ones count per bit position (index 0 holds position 1, the LSB).
 
     The sequence must be complete, which forces every count to equal
     2^(m-1); the counts are still tallied directly.
     """
-    words, m = _require_complete(seq, m)
+    words = _require_complete(words, m)
     return [sum((w >> b) & 1 for w in words) for b in range(m)]
 
 
-def tuple_balance(seq: Sequence, positions: Iterable[int], m: int | None = None) -> dict[str, int]:
+def tuple_balance(words: Iterable[int], positions: Iterable[int], m: int) -> dict[str, int]:
     """Occurrence count of every pattern over the given bit positions.
 
     Patterns are keyed as bit strings ordered from the highest requested
@@ -144,8 +138,8 @@ def tuple_balance(seq: Sequence, positions: Iterable[int], m: int | None = None)
     complete sequence each of the 2^r patterns occurs exactly 2^(m-r)
     times; the counts are tallied by direct extraction.
     """
-    words, m = _require_complete(seq, m)
-    pos = sorted(set(int(p) for p in positions), reverse=True)
+    words = _require_complete(words, m)
+    pos = sorted(set(map(operator.index, positions)), reverse=True)
     if not pos:
         raise ValueError("positions must be a non-empty set of bit positions")
     if pos[0] > m or pos[-1] < 1:
@@ -165,9 +159,9 @@ class HammingProfile(NamedTuple):
     per_bit_transitions: list[int]
 
 
-def hamming_profile(seq: Sequence, m: int | None = None) -> HammingProfile:
+def hamming_profile(words: Iterable[int], m: int) -> HammingProfile:
     """Hamming distance between each consecutive pair, plus per-bit flip counts."""
-    return _profile(*_as_words(seq, m))
+    return _profile(_as_words(words, m), m)
 
 
 def _profile(words: list[int], m: int) -> HammingProfile:
@@ -207,7 +201,7 @@ class ActivityReport:
         return self.complete
 
 
-def analyze(seq: Sequence, m: int | None = None, max_r: int = 4) -> ActivityReport:
+def analyze(words: Iterable[int], m: int, max_r: int = 4) -> ActivityReport:
     """Run every check on a sequence and collect the results.
 
     The input is validated once, scanned once for completeness and once
@@ -216,9 +210,11 @@ def analyze(seq: Sequence, m: int | None = None, max_r: int = 4) -> ActivityRepo
     sequence reports ``balance_checked`` with that ``balance_r_max`` and
     no per-subset tally is run (``tuple_balance`` counts one subset
     outright).  Partial sequences get a report with ``complete=False``
-    and balance unchecked.
+    and balance unchecked.  ``max_r`` below 1 raises ValueError.
     """
-    words, m = _as_words(seq, m)
+    if max_r < 1:
+        raise ValueError(f"max_r must be at least 1, got {max_r}")
+    words = _as_words(words, m)
     comp = _completeness(words, m)
     dist, per_bit_transitions = _profile(words, m)
     per_bit_ones = [sum((w >> b) & 1 for w in words) for b in range(m)]

@@ -210,7 +210,7 @@ def _cmd_permute(args) -> int:
     except ValueError:
         raise ValueError(f"--perm expects a comma list of positions, got {args.perm!r}") from None
     words = parse_lines(_read_lines(args.input), args.m, args.in_format)
-    stream = permute_address_bits(AddressStream.from_words(args.m, words), perm)
+    stream = permute_address_bits(AddressStream(args.m, len(words), iter(words)), perm)
     _write_lines(format_lines(stream.words(), args.m, args.format))
     return 0
 

@@ -55,7 +55,7 @@ def format_lines(words: Iterable[int], m: int, fmt: str = "bin") -> Iterator[str
         yield CSV_HEADER
         prev = None
         for n, w in enumerate(words):
-            dist = "" if prev is None else str(bin(prev ^ w).count("1"))
+            dist = "" if prev is None else str((prev ^ w).bit_count())
             yield f"{n},{w},{format(w, f'0{m}b')},{dist}"
             prev = w
     else:

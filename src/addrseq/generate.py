@@ -34,7 +34,7 @@ counter state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, _difference_words, as_bitvector
 
@@ -101,53 +101,27 @@ class SequenceSpec:
 
 
 class AddressStream:
-    """Lazily produced sequence of addresses.
+    """Lazily produced sequence of `count` addresses of width `m`.
 
-    Iterating yields BitVectors and tracks `cursor` (addresses emitted
-    so far) and `current` (the last one).  `words()` is the bulk fast
-    path: it drains the remaining addresses as plain ints and does not
-    maintain `current`.  A stream is single-pass and single-owner.
+    `words()` drains the remaining addresses as plain ints, the form
+    the analysis functions and formats take; iterating the stream
+    yields them as BitVectors instead.  A stream is single-pass and
+    single-owner.
     """
 
-    def __init__(
-        self,
-        m: int,
-        count: int,
-        word_iter: Iterator[int],
-        spec: SequenceSpec | None = None,
-        engine: str | None = None,
-    ):
+    def __init__(self, m: int, count: int, word_iter: Iterator[int]):
         self.m = m
         self.count = count
-        self.spec = spec
-        self.engine = engine
-        self.cursor = 0
-        self.current: BitVector | None = None
         self._word_iter = word_iter
-
-    @classmethod
-    def from_words(cls, m: int, words: Iterable[int], count: int | None = None) -> "AddressStream":
-        words = list(words)
-        if count is None:
-            count = len(words)
-        return cls(m, count, iter(words))
 
     def __iter__(self) -> "AddressStream":
         return self
 
     def __next__(self) -> BitVector:
-        w = next(self._word_iter)
-        self.cursor += 1
-        self.current = BitVector(self.m, w)
-        return self.current
+        return BitVector(self.m, next(self._word_iter))
 
     def words(self) -> Iterator[int]:
-        for w in self._word_iter:
-            self.cursor += 1
-            yield w
-
-    def __repr__(self) -> str:
-        return f"<AddressStream m={self.m} count={self.count} cursor={self.cursor}>"
+        yield from self._word_iter
 
 
 def generate_direct(matrix: GenerationMatrix, count: int | None = None) -> AddressStream:
@@ -158,7 +132,7 @@ def generate_direct(matrix: GenerationMatrix, count: int | None = None) -> Addre
     """
     spec = SequenceSpec(matrix, 0, 0, "up", count)
     words = _affine_words(matrix.row_words, spec.m, 0, 0, spec.count)
-    return AddressStream(spec.m, spec.count, words, spec, engine="direct")
+    return AddressStream(spec.m, spec.count, words)
 
 
 def generate_recursive(
@@ -226,4 +200,4 @@ def generate(spec: SequenceSpec) -> AddressStream:
         const ^= _combine(diff, mask)
         b0 = -b0 & mask
     words = _affine_words(diff, m, const, b0, spec.count)
-    return AddressStream(m, spec.count, words, spec, engine="recursive")
+    return AddressStream(m, spec.count, words)

@@ -91,7 +91,7 @@ class BitVector:
 
     def weight(self) -> int:
         """Number of set bits."""
-        return bin(self.word).count("1")
+        return self.word.bit_count()
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if not isinstance(other, BitVector):
@@ -235,11 +235,6 @@ class GenerationMatrix:
 
     def __repr__(self) -> str:
         return f"GenerationMatrix([{', '.join(str(r) for r in self.rows)}])"
-
-
-def matrix_rank(matrix: GenerationMatrix) -> int:
-    """GF(2) row rank of the matrix (cached at construction)."""
-    return matrix.rank
 
 
 def _combine(words: Sequence[int], selector: int) -> int:

@@ -27,11 +27,6 @@ def gray_value(n: int) -> int:
     return n ^ (n >> 1)
 
 
-def to_gray(b: BitVector) -> BitVector:
-    """Gray-code a counter word: top bit kept, bit i becomes bit(i+1) ^ bit(i)."""
-    return BitVector(b.width, gray_value(b.word))
-
-
 def switching_index(prev_gray: BitsLike, cur_gray: BitsLike) -> int:
     """1-based position of the single bit differing between two gray words.
 
@@ -44,7 +39,7 @@ def switching_index(prev_gray: BitsLike, cur_gray: BitsLike) -> int:
     if diff == 0 or diff & (diff - 1):
         raise ValueError(
             f"gray words {a:#b} and {b:#b} are not adjacent "
-            f"(differ in {bin(diff).count('1')} bits, expected 1)"
+            f"(differ in {diff.bit_count()} bits, expected 1)"
         )
     return diff.bit_length()
 

@@ -56,11 +56,28 @@ def test_truncated_sequence_is_incomplete():
     assert result.first_missing == BitVector(4, 10)
 
 
-def test_completeness_accepts_bitvectors():
-    seq = [BitVector(2, w) for w in (0, 1, 2, 3)]
-    assert verify_complete(seq)
-    with pytest.raises(ValueError):
-        verify_complete([BitVector(2, 0), BitVector(3, 1)])
+@pytest.mark.parametrize(
+    "words,m",
+    [([0.2, 1.9], 1), (["0", "1", "10", "11"], 4)],
+    ids=["floats", "digit-strings"],
+)
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_completeness,
+        verify_complete,
+        bit_balance,
+        lambda words, m: tuple_balance(words, {1}, m),
+        hamming_profile,
+        analyze,
+    ],
+    ids=["check_completeness", "verify_complete", "bit_balance", "tuple_balance",
+         "hamming_profile", "analyze"],
+)
+def test_words_that_are_not_ints_are_rejected(check, words, m):
+    # int() once read 0.2 and 1.9 as 0 and 1, and the string "10" as ten
+    with pytest.raises(TypeError):
+        check(words, m)
 
 
 def test_completeness_over_wide_space_stays_cheap():
@@ -195,6 +212,14 @@ def test_analyze_respects_max_r():
     report = analyze(TABLE_UP, 4, max_r=2)
     assert report.balance_r_max == 2
     assert report.ok
+
+
+@pytest.mark.parametrize("max_r", [0, -3])
+@pytest.mark.parametrize("words", [TABLE_UP, TABLE_UP[:3]], ids=["complete", "partial"])
+def test_analyze_rejects_max_r_below_one(words, max_r):
+    # a complete run once reported balance_r_max=-3, balance checked up to a negative size
+    with pytest.raises(ValueError, match="max_r must be at least 1"):
+        analyze(words, 4, max_r=max_r)
 
 
 def test_analyze_is_order_sensitive_in_profile_only():

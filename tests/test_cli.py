@@ -1,10 +1,14 @@
 import io
 import os
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import addrseq
 from addrseq.cli import main
@@ -267,6 +271,18 @@ def test_gen_verify_round_trip_random_matrix_file(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("max_r", ["0", "-3"])
+def test_verify_and_analyze_reject_max_r_below_one(capsys, monkeypatch, command, max_r):
+    # `gen | verify --max-r -3` once printed balance_r_max=-3 and exited 0
+    code, out, _ = run_cli(capsys, "gen", "-m", "4", "--family", "linear")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, report, err = run_cli(capsys, command, "-m", "4", "--max-r", max_r)
+    assert (code, report) == (2, "")
+    assert err == f"addrseq: max_r must be at least 1, got {max_r}\n"
+
+
 def test_analyze_auto_detects_zero_padded_hex(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, "gen", "-m", "8", "--family", "pow2:4", "--format", "hex", "--count", "10"
@@ -357,3 +373,112 @@ def test_permute_rejects_bad_permutation(capsys, tmp_path):
     code, _, err = run_cli(capsys, "permute", "-m", "3", "--perm", "1,1,2", str(path))
     assert code == 2
     assert "permutation" in err
+
+
+# -- the CLI against the library ------------------------------------------------------------
+
+
+def run_main(argv, stdin=""):
+    """cli.main in process, with in-memory stdio (hypothesis cannot share capsys)."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def as_text(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def gen_cases(draw):
+    """A family, an engine variant, a count and a format, with the gen flags that ask for them."""
+    m = draw(st.integers(2, 10))
+    full = 1 << m
+    family = draw(
+        st.sampled_from(["linear", "pow2", "complement", "limited", "gray", "quasi", "random"])
+    )
+    if family == "pow2":
+        family = f"pow2:{draw(st.integers(0, m - 1))}"
+    elif family == "gray" and draw(st.booleans()):
+        family = "gray:" + ",".join(map(str, draw(st.permutations(range(1, m + 1)))))
+    elif family == "random":
+        family = f"random:{draw(st.integers(0, 10**6))}"
+    argv = ["gen", "-m", str(m), "--family", family]
+    matrix = addrseq.family_matrix(family, m)
+    # short runs are where auto-detection can find dec and hex readings that differ
+    count = draw(st.one_of(st.none(), st.integers(0, 4), st.integers(0, full)))
+    engine = draw(st.sampled_from(["recursive", "down", "shift", "direct"]))
+    if engine == "direct":
+        argv += ["--engine", "direct"]
+        stream = addrseq.generate_direct(matrix, count)
+    elif engine == "shift":
+        shift = draw(st.integers(0, full - 1))
+        argv += ["--shift", str(shift)]
+        stream = addrseq.generate_shifted(matrix, shift, count)
+    else:
+        a0, b0 = draw(st.integers(0, full - 1)), draw(st.integers(0, full - 1))
+        argv += ["--a0", str(a0), "--b0", bin(b0)] + (["--down"] if engine == "down" else [])
+        make = addrseq.generate_down if engine == "down" else addrseq.generate_recursive
+        stream = make(matrix, a0, b0, count)
+    if count is not None:
+        argv += ["--count", str(count)]
+    fmt = draw(st.sampled_from(addrseq.FORMATS))
+    return m, argv + ["--format", fmt], fmt, list(stream.words())
+
+
+# `16 17 18` at m=8 reads as dec and as hex, with different values
+_AMBIGUOUS_RUN = (
+    8,
+    ["gen", "-m", "8", "--family", "linear", "--a0", "16", "--count", "3", "--format", "dec"],
+    "dec",
+    [16, 17, 18],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gen_cases(),
+    st.booleans(),
+    st.integers(1, 6),
+    st.randoms(use_true_random=False),
+    st.sampled_from(addrseq.FORMATS),
+)
+@example(_AMBIGUOUS_RUN, True, 2, random.Random(0), "bin")
+def test_cli_matches_the_library(case, auto, max_r, rng, out_fmt):
+    m, argv, fmt, words = case
+    code, text, err = run_main(argv)
+    assert (code, err) == (0, "")
+    assert text == as_text(addrseq.format_lines(words, m, fmt))
+
+    in_fmt = "auto" if auto else fmt
+    try:
+        parsed = addrseq.parse_lines(text.splitlines(), m, in_fmt)
+    except addrseq.SequenceParseError:
+        parsed = None  # a short prefix can read as two formats; auto must then refuse it
+    if parsed is not None:
+        assert parsed == words
+
+    report = addrseq.analyze(words, m, max_r)
+    for command, ok_code in (("analyze", 0), ("verify", 0 if report.complete else 1)):
+        flags = ["-m", str(m), "--format", in_fmt, "--max-r", str(max_r)]
+        code, out, err = run_main([command, *flags], text)
+        if parsed is None:
+            assert (code, out) == (2, "") and err.startswith("addrseq: line ")
+        else:
+            assert (code, out, err) == (ok_code, addrseq.format_report(report), "")
+
+    perm = list(range(1, m + 1))
+    rng.shuffle(perm)
+    flags = ["-m", str(m), "--perm", ",".join(map(str, perm)), "--in-format", in_fmt]
+    code, out, err = run_main(["permute", *flags, "--format", out_fmt], text)
+    if parsed is None:
+        assert (code, out) == (2, "")
+    else:
+        stream = addrseq.AddressStream(m, len(words), iter(words))
+        permuted = addrseq.permute_address_bits(stream, perm).words()
+        assert (code, out, err) == (0, as_text(addrseq.format_lines(permuted, m, out_fmt)), "")

@@ -292,7 +292,7 @@ def test_acceptance_rate_near_limit_at_m32():
 
 
 def counter_stream(m):
-    return AddressStream.from_words(m, range(1 << m))
+    return AddressStream(m, 1 << m, iter(range(1 << m)))
 
 
 def test_permute_swap_of_top_and_bottom_bits_m3():

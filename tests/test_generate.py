@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addrseq import (
-    AddressStream,
     BitVector,
     GenerationMatrix,
     RankDeficiencyError,
@@ -291,25 +290,10 @@ def test_spec_validation(worked_matrix):
         SequenceSpec(GenerationMatrix(["11", "11"]))
 
 
-def test_stream_tracks_cursor_and_current(worked_matrix):
-    stream = generate_recursive(worked_matrix, count=5)
-    assert stream.cursor == 0 and stream.current is None
-    first = next(stream)
-    assert first == BitVector(4, 0)
-    assert stream.cursor == 1 and stream.current == first
-    rest = list(stream)
-    assert len(rest) == 4
-    assert stream.cursor == 5
-    assert stream.current == BitVector(4, TABLE_UP[4])
-    with pytest.raises(StopIteration):
-        next(stream)
-
-
 def test_stream_emits_exactly_count_addresses(worked_matrix):
     assert run(generate_recursive(worked_matrix, count=7)) == TABLE_UP[:7]
+    # iterating the stream itself yields the same addresses as BitVectors
+    assert list(generate_recursive(worked_matrix, count=7)) == [
+        BitVector(4, w) for w in TABLE_UP[:7]
+    ]
 
-
-def test_stream_from_words_wraps_a_list():
-    stream = AddressStream.from_words(3, [1, 5, 2])
-    assert stream.count == 3
-    assert [v.word for v in stream] == [1, 5, 2]

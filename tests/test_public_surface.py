@@ -1,0 +1,103 @@
+"""The package's public names, pinned so that any change to them is deliberate."""
+
+import importlib
+
+import pytest
+
+import addrseq
+
+PUBLIC = [
+    "ActivityReport",
+    "AddressStream",
+    "BitVector",
+    "Completeness",
+    "FORMATS",
+    "FULLRANK_LIMIT",
+    "GenerationMatrix",
+    "HammingProfile",
+    "IncompleteSequenceError",
+    "PermutationCount",
+    "RANK_DEFICIT_LIMIT",
+    "RankDeficiencyError",
+    "SequenceParseError",
+    "SequenceSpec",
+    "SwitchingStep",
+    "XorShift64Star",
+    "address_at",
+    "analyze",
+    "as_bitvector",
+    "bit_balance",
+    "check_completeness",
+    "complement_matrix",
+    "cumulative_basis",
+    "difference_basis",
+    "exhaustive_rank_counts",
+    "expected_rank_deficit",
+    "family_matrix",
+    "format_lines",
+    "format_report",
+    "fullrank_acceptance_rate",
+    "fullrank_probability",
+    "generate",
+    "generate_direct",
+    "generate_down",
+    "generate_recursive",
+    "generate_shifted",
+    "gray_value",
+    "graycode_matrix",
+    "hamming_profile",
+    "limited_matrix",
+    "linear_combination",
+    "linear_matrix",
+    "parse_lines",
+    "permutation_count",
+    "permute_address_bits",
+    "power2_matrix",
+    "quasirandom_matrix",
+    "random_fullrank_matrix",
+    "rank_of_words",
+    "step_index",
+    "switching_index",
+    "switching_sequence",
+    "tuple_balance",
+    "verify_complete",
+    "wrap_index",
+]
+
+# What the benchmark in perfbench/ imports, calls or wraps by name, beyond
+# the package-level names above.  The traced run replaces the three methods
+# in the class's own __dict__, so they must be defined on the class itself.
+BENCHMARK_FUNCTIONS = [
+    ("addrseq.cli", "main"),
+    ("addrseq.families", "family_matrix"),
+    ("addrseq.formats", "detect_format"),
+    ("addrseq.formats", "format_lines"),
+    ("addrseq.formats", "parse_lines"),
+    ("addrseq.generate", "generate_direct"),
+    ("addrseq.generate", "generate_down"),
+    ("addrseq.generate", "generate_recursive"),
+    ("addrseq.generate", "generate_shifted"),
+]
+BENCHMARK_METHODS = [
+    ("addrseq.gf2", "GenerationMatrix", "__init__"),
+    ("addrseq.generate", "SequenceSpec", "__post_init__"),
+    ("addrseq.generate", "AddressStream", "words"),
+]
+
+
+def test_all_is_the_pinned_list():
+    assert PUBLIC == sorted(PUBLIC)
+    assert len(set(PUBLIC)) == len(PUBLIC) == 55
+    assert addrseq.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(addrseq, name) is not None, name
+
+
+@pytest.mark.parametrize("module,name", BENCHMARK_FUNCTIONS)
+def test_benchmark_functions_exist(module, name):
+    assert callable(getattr(importlib.import_module(module), name))
+
+
+@pytest.mark.parametrize("module,cls,name", BENCHMARK_METHODS)
+def test_benchmark_methods_exist(module, cls, name):
+    assert callable(vars(getattr(importlib.import_module(module), cls))[name])
