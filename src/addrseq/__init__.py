@@ -44,6 +44,7 @@ from .families import (
     power2_matrix,
     quasirandom_matrix,
     random_fullrank_matrix,
+    sampled_rank_counts,
 )
 from .formats import FORMATS, SequenceParseError, format_lines, parse_lines
 from .generate import (
@@ -125,6 +126,7 @@ __all__ = [
     "quasirandom_matrix",
     "random_fullrank_matrix",
     "rank_of_words",
+    "sampled_rank_counts",
     "step_index",
     "switching_index",
     "switching_sequence",

@@ -20,11 +20,10 @@ from .analysis import analyze, format_report
 from .families import (
     FAMILY_HELP,
     exhaustive_rank_counts,
-    expected_rank_deficit,
     family_matrix,
-    fullrank_acceptance_rate,
     fullrank_probability,
     permute_address_bits,
+    sampled_rank_counts,
 )
 from .formats import FORMATS, SequenceParseError, format_lines, parse_lines
 from .generate import (
@@ -185,22 +184,34 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _rank_summary(counts: dict[int, int], m: int) -> tuple[int, int, float, float]:
+    """Total, full-rank count, full-rank fraction and mean rank deficit of a census."""
+    total = sum(counts.values())
+    full = counts[m]
+    deficit = sum((m - r) * c for r, c in counts.items()) / total
+    return total, full, full / total, deficit
+
+
 def _cmd_rank_stats(args) -> int:
-    print(f"m={args.m}")
-    print(f"analytic_fullrank_probability={fullrank_probability(args.m):.13f}")
+    m = args.m
+    lines = [f"m={m}", f"analytic_fullrank_probability={fullrank_probability(m):.13f}"]
     if args.exhaustive:
-        counts = exhaustive_rank_counts(args.m)
-        total = sum(counts.values())
-        full = counts[args.m]
-        deficit = sum((args.m - r) * c for r, c in counts.items()) / total
-        print(f"exhaustive_total={total}")
-        print(f"exhaustive_fullrank={full}")
-        print(f"exhaustive_fullrank_fraction={full / total}")
-        print(f"exhaustive_expected_rank_deficit={deficit}")
-    print(f"samples={args.samples}")
-    print(f"seed={args.seed}")
-    print(f"mc_fullrank_rate={fullrank_acceptance_rate(args.m, args.samples, args.seed)}")
-    print(f"mc_expected_rank_deficit={expected_rank_deficit(args.m, args.samples, args.seed)}")
+        total, full, fraction, deficit = _rank_summary(exhaustive_rank_counts(m), m)
+        lines += [
+            f"exhaustive_total={total}",
+            f"exhaustive_fullrank={full}",
+            f"exhaustive_fullrank_fraction={fraction}",
+            f"exhaustive_expected_rank_deficit={deficit}",
+        ]
+    _, _, rate, deficit = _rank_summary(sampled_rank_counts(m, args.samples, args.seed), m)
+    lines += [
+        f"samples={args.samples}",
+        f"seed={args.seed}",
+        f"mc_fullrank_rate={rate}",
+        f"mc_expected_rank_deficit={deficit}",
+    ]
+    # computed in full before the first write, so a failure leaves stdout empty
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 

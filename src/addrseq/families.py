@@ -153,28 +153,37 @@ class XorShift64Star:
 
     The constants are fixed and documented so that a seed identifies the
     same draw stream in any implementation; seeds are part of the
-    reproducibility contract of `random_fullrank_matrix`.
+    reproducibility contract of `random_fullrank_matrix`.  The state is
+    splitmix64 of ``seed mod 2^64`` (add 0x9E3779B97F4A7C15; xor-shift
+    right 30, times 0xBF58476D1CE4E5B9; right 27, times
+    0x94D049BB133111EB; right 31), or 0x9E3779B97F4A7C15 if that is 0.
+    Each draw steps the state ``x ^= x >> 12; x ^= x << 25; x ^= x >> 27``
+    (mod 2^64) and returns ``x * 0x2545F4914F6CDD1D mod 2^64``.
     """
 
     def __init__(self, seed: int = 0):
         state = _splitmix64(seed & _M64)
         self._state = state if state else 0x9E3779B97F4A7C15
 
-    def next64(self) -> int:
+    def draws(self, count: int, k: int = 64) -> list[int]:
+        """Low k bits of each of the next `count` draws (all 64 when k >= 64)."""
+        mask = ((1 << k) - 1) & _M64
         x = self._state
-        x ^= x >> 12
-        x ^= (x << 25) & _M64
-        x ^= x >> 27
+        out = []
+        for _ in range(count):
+            x ^= x >> 12
+            x ^= (x << 25) & _M64
+            x ^= x >> 27
+            out.append((x * 0x2545F4914F6CDD1D) & mask)
         self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _M64
+        return out
+
+    def next64(self) -> int:
+        return self.draws(1)[0]
 
     def bits(self, k: int) -> int:
-        """Low k bits of the next draw (k <= 64)."""
-        return self.next64() & ((1 << k) - 1)
-
-
-def _draw_rows(rng: XorShift64Star, m: int) -> tuple[int, ...]:
-    return tuple(rng.bits(m) for _ in range(m))
+        """Low k bits of the next draw (all 64 when k >= 64)."""
+        return self.draws(1, k)[0]
 
 
 def random_fullrank_matrix(m: int, seed: int = 0, with_attempts: bool = False):
@@ -190,7 +199,7 @@ def random_fullrank_matrix(m: int, seed: int = 0, with_attempts: bool = False):
     attempts = 0
     while True:
         attempts += 1
-        words = _draw_rows(rng, m)
+        words = rng.draws(m, m)
         if rank_of_words(words) == m:
             matrix = GenerationMatrix(words, m)
             return (matrix, attempts) if with_attempts else matrix
@@ -210,10 +219,21 @@ def fullrank_probability(m: int) -> float:
     return p
 
 
-def _sample_ranks(m: int, samples: int, seed: int) -> Iterable[int]:
-    rng = XorShift64Star(seed)
+def sampled_rank_counts(m: int, samples: int, seed: int = 0) -> dict[int, int]:
+    """Monte Carlo census of ranks over `samples` uniform random matrices.
+
+    Each matrix is drawn (its rows are the low m bits of consecutive
+    xorshift64* draws, as in `random_fullrank_matrix`) and ranked once.
+    Returns the count of each rank 0..m, like `exhaustive_rank_counts`.
+    """
+    _check_m(m)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    draws = XorShift64Star(seed).draws
+    counts = dict.fromkeys(range(m + 1), 0)
     for _ in range(samples):
-        yield rank_of_words(_draw_rows(rng, m))
+        counts[rank_of_words(draws(m, m))] += 1
+    return counts
 
 
 def expected_rank_deficit(m: int, samples: int, seed: int = 0) -> float:
@@ -221,20 +241,13 @@ def expected_rank_deficit(m: int, samples: int, seed: int = 0) -> float:
 
     Approaches 0.850179830874 for large m.
     """
-    _check_m(m)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    total = sum(m - r for r in _sample_ranks(m, samples, seed))
-    return total / samples
+    counts = sampled_rank_counts(m, samples, seed)
+    return sum((m - r) * c for r, c in counts.items()) / samples
 
 
 def fullrank_acceptance_rate(m: int, samples: int, seed: int = 0) -> float:
     """Monte Carlo fraction of uniform random matrices that are full rank."""
-    _check_m(m)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    hits = sum(1 for r in _sample_ranks(m, samples, seed) if r == m)
-    return hits / samples
+    return sampled_rank_counts(m, samples, seed)[m] / samples
 
 
 def exhaustive_rank_counts(m: int) -> dict[int, int]:

@@ -38,16 +38,22 @@ class RankDeficiencyError(ValueError):
 def rank_of_words(words: Iterable[int]) -> int:
     """GF(2) row rank of a collection of words, by Gaussian elimination.
 
-    Rows are reduced against previously found pivot rows, keyed by their
-    highest set bit.  The input is never mutated.
+    Rows are reduced against previously found pivot rows, held in a list
+    indexed by their highest set bit (0 marks a free slot).  The list
+    covers 64-bit words and grows for any wider word.  The input is
+    never mutated.
     """
-    pivots: dict[int, int] = {}
+    pivots = [0] * MAX_WIDTH
     rank = 0
     for w in words:
         while w:
             top = w.bit_length() - 1
-            p = pivots.get(top)
-            if p is None:
+            try:
+                p = pivots[top]
+            except IndexError:
+                pivots.extend([0] * (top + 1 - len(pivots)))
+                p = 0
+            if not p:
                 pivots[top] = w
                 rank += 1
                 break

@@ -17,6 +17,7 @@ through `wrap_index`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .gf2 import BitsLike, BitVector, as_bitvector
@@ -27,14 +28,22 @@ def gray_value(n: int) -> int:
     return n ^ (n >> 1)
 
 
+def _word(value: BitsLike) -> int:
+    if isinstance(value, BitVector):
+        return value.word
+    if isinstance(value, str):
+        return BitVector.from_string(value).word
+    # operator.index refuses floats, which int() would truncate
+    return operator.index(value)
+
+
 def switching_index(prev_gray: BitsLike, cur_gray: BitsLike) -> int:
     """1-based position of the single bit differing between two gray words.
 
     Raises ValueError if the words differ in any number of bits other
     than one, which signals a pair of non-adjacent gray codes.
     """
-    a = prev_gray.word if isinstance(prev_gray, BitVector) else int(prev_gray)
-    b = cur_gray.word if isinstance(cur_gray, BitVector) else int(cur_gray)
+    a, b = _word(prev_gray), _word(cur_gray)
     diff = a ^ b
     if diff == 0 or diff & (diff - 1):
         raise ValueError(

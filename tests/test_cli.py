@@ -351,6 +351,55 @@ def test_rank_stats_is_deterministic(capsys):
     assert first == second
 
 
+# exact stdout, so a change to the draw stream, the rank census or the float formatting shows
+RANK_STATS_GOLDEN = {
+    ("-m", "32", "-n", "2000", "--seed", "7"): (
+        "m=32\n"
+        "analytic_fullrank_probability=0.2887880951538\n"
+        "samples=2000\n"
+        "seed=7\n"
+        "mc_fullrank_rate=0.289\n"
+        "mc_expected_rank_deficit=0.855\n"
+    ),
+    ("-m", "4", "--exhaustive", "-n", "3000", "--seed", "11"): (
+        "m=4\n"
+        "analytic_fullrank_probability=0.3076171875000\n"
+        "exhaustive_total=65536\n"
+        "exhaustive_fullrank=20160\n"
+        "exhaustive_fullrank_fraction=0.3076171875\n"
+        "exhaustive_expected_rank_deficit=0.8114471435546875\n"
+        "samples=3000\n"
+        "seed=11\n"
+        "mc_fullrank_rate=0.30666666666666664\n"
+        "mc_expected_rank_deficit=0.8163333333333334\n"
+    ),
+    ("-m", "64", "-n", "500", "--seed", "3"): (
+        "m=64\n"
+        "analytic_fullrank_probability=0.2887880950866\n"
+        "samples=500\n"
+        "seed=3\n"
+        "mc_fullrank_rate=0.284\n"
+        "mc_expected_rank_deficit=0.842\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(RANK_STATS_GOLDEN), ids=" ".join)
+def test_rank_stats_output_is_pinned(capsys, args):
+    assert run_cli(capsys, "rank-stats", *args) == (0, RANK_STATS_GOLDEN[args], "")
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("-m", "8", "-n", "0"), "samples must be >= 1, got 0"),
+        (("-m", "6", "--exhaustive"), "exhaustive enumeration is limited to m <= 4, got 6"),
+    ],
+)
+def test_rank_stats_failure_prints_no_partial_report(capsys, args, message):
+    assert run_cli(capsys, "rank-stats", *args) == (2, "", f"addrseq: {message}\n")
+
+
 # -- permute ------------------------------------------------------------------------------
 
 

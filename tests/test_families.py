@@ -1,7 +1,9 @@
 import math
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addrseq import (
     AddressStream,
@@ -24,6 +26,8 @@ from addrseq import (
     power2_matrix,
     quasirandom_matrix,
     random_fullrank_matrix,
+    rank_of_words,
+    sampled_rank_counts,
     verify_complete,
 )
 
@@ -236,6 +240,113 @@ def test_xorshift_stream_is_reproducible_and_nonzero():
     assert draws == [b.next64() for _ in range(5)]
     assert all(0 < d < (1 << 64) for d in draws)
     assert XorShift64Star(0).next64() != XorShift64Star(1).next64()
+
+
+# -- independent references for the sampler ------------------------------------------
+#
+# Written out from the XorShift64Star docstring and from textbook elimination, so the
+# sampler, the draw loop and rank_of_words are compared with code they share nothing with.
+
+M64 = (1 << 64) - 1
+
+
+def reference_stream(seed):
+    """Endless xorshift64* draws, the state seeded through splitmix64."""
+    z = (seed + 0x9E3779B97F4A7C15) & M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    x = (z ^ (z >> 31)) or 0x9E3779B97F4A7C15
+    while True:
+        x ^= x >> 12
+        x ^= (x << 25) & M64
+        x ^= x >> 27
+        yield (x * 0x2545F4914F6CDD1D) & M64
+
+
+def reference_rank(rows):
+    """Rank by a basis of distinct leading bits: each row is reduced by min(w, w ^ b)."""
+    basis = []  # kept in descending order, so each b clears its own leading bit of w
+    for w in rows:
+        for b in basis:
+            w = min(w, w ^ b)
+        if w:
+            basis.append(w)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def reference_matrices(m, seed):
+    """Consecutive m-row matrices of the stream, each row the low m bits of a draw."""
+    stream = reference_stream(seed & M64)
+    mask = (1 << m) - 1
+    while True:
+        yield [w & mask for w in islice(stream, m)]
+
+
+@st.composite
+def row_lists(draw):
+    """Rows up to 80 bits wide, with zero rows, duplicates, XOR-dependent rows, and often
+    more rows than bits."""
+    width = draw(st.integers(1, 80))
+    pool = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=width + 2))
+    pool += [0] + [a ^ b for a, b in zip(pool, pool[1:])]
+    return draw(st.lists(st.sampled_from(pool), max_size=width + 8))
+
+
+@given(row_lists())
+def test_rank_of_words_matches_a_reference_elimination(rows):
+    assert rank_of_words(rows) == reference_rank(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 64), samples=st.integers(1, 40), seed=st.integers(-(1 << 66), 1 << 66))
+def test_sampler_matches_a_plain_reference(m, samples, seed):
+    ranks = [reference_rank(rows) for rows in islice(reference_matrices(m, seed), samples)]
+    assert sampled_rank_counts(m, samples, seed) == {r: ranks.count(r) for r in range(m + 1)}
+    assert fullrank_acceptance_rate(m, samples, seed) == ranks.count(m) / samples
+    assert expected_rank_deficit(m, samples, seed) == sum(m - r for r in ranks) / samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 64), seed=st.integers(0, M64))
+def test_random_fullrank_matrix_matches_a_plain_reference(m, seed):
+    matrices = reference_matrices(m, seed)
+    attempts, rows = 1, next(matrices)
+    while reference_rank(rows) != m:
+        attempts, rows = attempts + 1, next(matrices)
+    matrix, got = random_fullrank_matrix(m, seed, with_attempts=True)
+    assert (matrix.row_words, got) == (tuple(rows), attempts)
+
+
+draw_calls = st.one_of(
+    st.tuples(st.just("next64")),
+    st.tuples(st.just("bits"), st.integers(0, 70)),
+    st.tuples(st.just("draws"), st.integers(0, 6), st.integers(0, 70)),
+)
+
+
+@given(seed=st.integers(-(1 << 66), 1 << 66), calls=st.lists(draw_calls, max_size=12))
+def test_xorshift_matches_a_plain_reference(seed, calls):
+    rng, stream = XorShift64Star(seed), reference_stream(seed & M64)
+    for name, *args in calls:
+        if name == "next64":
+            assert rng.next64() == next(stream)
+        elif name == "bits":
+            (k,) = args
+            assert rng.bits(k) == next(stream) & ((1 << k) - 1)
+        else:
+            count, k = args
+            assert rng.draws(count, k) == [w & ((1 << k) - 1) for w in islice(stream, count)]
+
+
+def test_sampled_rank_counts_keys_every_rank_and_checks_its_arguments():
+    counts = sampled_rank_counts(4, 50, seed=2)
+    assert list(counts) == [0, 1, 2, 3, 4]
+    assert sum(counts.values()) == 50
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        sampled_rank_counts(4, 0)
+    with pytest.raises(ValueError, match="m must be in 1..64"):
+        sampled_rank_counts(65, 10)
 
 
 # -- rank statistics ---------------------------------------------------------------------

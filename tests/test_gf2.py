@@ -9,6 +9,7 @@ from addrseq import (
     cumulative_basis,
     difference_basis,
     linear_combination,
+    rank_of_words,
 )
 
 from _tables import WORKED_ROWS
@@ -87,6 +88,11 @@ def test_rank_with_duplicate_row():
 
 def test_rank_of_zero_matrix():
     assert GenerationMatrix([0, 0, 0], m=3).rank == 0
+
+
+def test_rank_of_words_wider_than_64_bits():
+    assert rank_of_words([1 << 70, 3]) == 2
+    assert rank_of_words([1 << 70, (1 << 70) | 1, 1, 1 << 64]) == 3
 
 
 def test_require_full_rank_names_the_rank():

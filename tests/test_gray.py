@@ -54,6 +54,22 @@ def test_switching_index_examples(prev, cur, index):
     assert switching_index(BitVector.from_string(prev), BitVector.from_string(cur)) == index
 
 
+@pytest.mark.parametrize(
+    "prev,cur,index",
+    [("0001", "0011", 2), ("0111", "0101", 2), ("0100", "0110", 2), ("1000", "0000", 4)],
+)
+def test_switching_index_reads_bit_strings_as_binary(prev, cur, index):
+    assert switching_index(prev, cur) == index
+    assert switching_index(int(prev, 2), int(cur, 2)) == index
+
+
+def test_switching_index_rejects_floats():
+    with pytest.raises(TypeError):
+        switching_index(0.5, 1.5)
+    with pytest.raises(TypeError):
+        switching_index(4, 6.0)
+
+
 def test_switching_index_rejects_non_adjacent_pairs():
     with pytest.raises(ValueError, match="not adjacent"):
         switching_index(0b0000, 0b0011)

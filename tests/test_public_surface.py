@@ -56,6 +56,7 @@ PUBLIC = [
     "quasirandom_matrix",
     "random_fullrank_matrix",
     "rank_of_words",
+    "sampled_rank_counts",
     "step_index",
     "switching_index",
     "switching_sequence",
@@ -87,7 +88,7 @@ BENCHMARK_METHODS = [
 
 def test_all_is_the_pinned_list():
     assert PUBLIC == sorted(PUBLIC)
-    assert len(set(PUBLIC)) == len(PUBLIC) == 55
+    assert len(set(PUBLIC)) == len(PUBLIC) == 56
     assert addrseq.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(addrseq, name) is not None, name
