@@ -24,7 +24,11 @@ distance profile always equals the sum of the per-bit transitions.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Iterable, NamedTuple
 
 from .gf2 import BitVector
@@ -37,10 +41,31 @@ class IncompleteSequenceError(ValueError):
 def _as_words(seq: Iterable[int], m: int) -> list[int]:
     # operator.index refuses floats and strings, which int() would truncate or read as decimal
     words = list(map(operator.index, seq))
-    for w in words:
-        if not 0 <= w < (1 << m):
-            raise ValueError(f"value {w} out of range for {m} bits")
+    if words and (min(words) < 0 or max(words) >> m):
+        bad = next(w for w in words if not 0 <= w < (1 << m))
+        raise ValueError(f"value {bad} out of range for {m} bits")
     return words
+
+
+# _LANE_BITS[j] holds every byte value with bit j set
+_LANE_BITS = [bytes(v for v in range(256) if v >> j & 1) for j in range(8)]
+
+
+def _bit_counts(words: Iterable[int], m: int) -> list[int]:
+    """Ones per bit position (index 0 is the LSB) of words in 0..2^64 - 1.
+
+    The words are laid out as little-endian 64-bit integers; byte lane k
+    (every 8th byte from k) then holds bits 8k..8k+7 of every word, and the
+    ones of a bit are the lane bytes that translate() does not delete.
+    """
+    packed = array("Q", words)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    buf, step = packed.tobytes(), packed.itemsize
+    lanes = [buf[k::step] for k in range((m + 7) // 8)]
+    return [
+        len(packed) - len(lanes[b >> 3].translate(None, _LANE_BITS[b & 7])) for b in range(m)
+    ]
 
 
 @dataclass(frozen=True)
@@ -58,9 +83,10 @@ class Completeness:
 def check_completeness(words: Iterable[int], m: int) -> Completeness:
     """Scan a sequence of m-bit words for length 2^m with all values distinct.
 
-    Presence is tracked in a 2^m-bit map for m <= 28 and in a set sized
-    by the input otherwise, so short sequences over wide address spaces
-    stay cheap.
+    Presence is tracked in a 2^m-byte map for m <= 24 when the input
+    holds at least 2^m / 8 words, else in a 2^m-bit map for m <= 28 and
+    in a set sized by the input above that, so short sequences over wide
+    address spaces stay cheap.
     """
     return _completeness(_as_words(words, m), m)
 
@@ -68,33 +94,49 @@ def check_completeness(words: Iterable[int], m: int) -> Completeness:
 def _completeness(words: list[int], m: int) -> Completeness:
     full = 1 << m
     first_dup = None
-    if m <= 28:
-        seen = bytearray(max(full >> 3, 1))
-        distinct = 0
-        for w in words:
-            bit = 1 << (w & 7)
-            if seen[w >> 3] & bit:
-                if first_dup is None:
+    if m <= 24 and len(words) << 3 >= full:
+        # one byte per address, set in bulk, then counted and searched as a buffer;
+        # shorter input keeps the bit map, a byte for eight addresses
+        seen = bytearray(full)
+        deque(map(seen.__setitem__, words, repeat(1)), maxlen=0)
+        distinct = full - seen.count(0)
+        if len(words) > distinct:  # some word repeats: find the first repeat
+            again = bytearray(full)
+            for w in words:
+                if again[w]:
                     first_dup = BitVector(m, w)
-            else:
-                seen[w >> 3] |= bit
-                distinct += 1
-        present = lambda w: seen[w >> 3] & (1 << (w & 7))
+                    break
+                again[w] = 1
+        missing = seen.find(0)
+        first_missing = BitVector(m, missing) if missing >= 0 else None
     else:
-        seen_set: set[int] = set()
-        for w in words:
-            if w in seen_set and first_dup is None:
-                first_dup = BitVector(m, w)
-            seen_set.add(w)
-        distinct = len(seen_set)
-        present = lambda w: w in seen_set
-    first_missing = None
-    if distinct != full:
-        # pigeonhole: some value in 0..distinct is absent
-        for w in range(distinct + 1):
-            if not present(w):
-                first_missing = BitVector(m, w)
-                break
+        if m <= 28:
+            seen = bytearray(max(full >> 3, 1))
+            distinct = 0
+            for w in words:
+                bit = 1 << (w & 7)
+                if seen[w >> 3] & bit:
+                    if first_dup is None:
+                        first_dup = BitVector(m, w)
+                else:
+                    seen[w >> 3] |= bit
+                    distinct += 1
+            present = lambda w: seen[w >> 3] & (1 << (w & 7))
+        else:
+            seen_set: set[int] = set()
+            for w in words:
+                if w in seen_set and first_dup is None:
+                    first_dup = BitVector(m, w)
+                seen_set.add(w)
+            distinct = len(seen_set)
+            present = lambda w: w in seen_set
+        first_missing = None
+        if distinct != full:
+            # pigeonhole: some value in 0..distinct is absent
+            for w in range(distinct + 1):
+                if not present(w):
+                    first_missing = BitVector(m, w)
+                    break
     complete = len(words) == full and distinct == full
     return Completeness(complete, m, len(words), distinct, first_dup, first_missing)
 
@@ -126,8 +168,7 @@ def bit_balance(words: Iterable[int], m: int) -> list[int]:
     The sequence must be complete, which forces every count to equal
     2^(m-1); the counts are still tallied directly.
     """
-    words = _require_complete(words, m)
-    return [sum((w >> b) & 1 for w in words) for b in range(m)]
+    return _bit_counts(_require_complete(words, m), m)
 
 
 def tuple_balance(words: Iterable[int], positions: Iterable[int], m: int) -> dict[str, int]:
@@ -165,16 +206,8 @@ def hamming_profile(words: Iterable[int], m: int) -> HammingProfile:
 
 
 def _profile(words: list[int], m: int) -> HammingProfile:
-    distances = []
-    per_bit = [0] * m
-    for prev, cur in zip(words, words[1:]):
-        diff = prev ^ cur
-        distances.append(diff.bit_count())
-        while diff:
-            low = diff & -diff
-            per_bit[low.bit_length() - 1] += 1
-            diff ^= low
-    return HammingProfile(distances, per_bit)
+    diffs = array("Q", map(operator.xor, words, islice(words, 1, None)))
+    return HammingProfile(list(map(int.bit_count, diffs)), _bit_counts(diffs, m))
 
 
 @dataclass
@@ -217,7 +250,7 @@ def analyze(words: Iterable[int], m: int, max_r: int = 4) -> ActivityReport:
     words = _as_words(words, m)
     comp = _completeness(words, m)
     dist, per_bit_transitions = _profile(words, m)
-    per_bit_ones = [sum((w >> b) & 1 for w in words) for b in range(m)]
+    per_bit_ones = _bit_counts(words, m)
     return ActivityReport(
         m=m,
         length=len(words),
@@ -253,9 +286,7 @@ def format_report(report: ActivityReport) -> str:
     lines.append("per_bit_ones=" + ",".join(map(str, report.per_bit_ones)))
     lines.append("per_bit_transitions=" + ",".join(map(str, report.per_bit_transitions)))
     if report.hamming_profile:
-        hist: dict[int, int] = {}
-        for d in report.hamming_profile:
-            hist[d] = hist.get(d, 0) + 1
+        hist = Counter(report.hamming_profile)
         lines.append(f"hamming_min={report.min_distance}")
         lines.append(f"hamming_max={report.max_distance}")
         lines.append(f"hamming_mean={report.mean_distance:.6f}")

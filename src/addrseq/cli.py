@@ -35,7 +35,9 @@ from .generate import (
 )
 from .gf2 import GenerationMatrix, RankDeficiencyError
 
-DEFAULT_VERIFY_CAP = 28  # verify materializes a 2^m-bit presence map
+# verify holds every word, a presence map (a byte per address up to m=24, a bit
+# above) and the 2^m - 1 distances: about 160 MB at m=20, doubling per bit
+DEFAULT_VERIFY_CAP = 28
 
 
 def _int_flag(text: str) -> int:
@@ -112,10 +114,19 @@ def _load_matrix(path: str) -> GenerationMatrix:
 
 
 def _read_lines(path: str | None) -> list[str]:
+    """The input's lines, read as one buffer from the file or stdin.
+
+    Bytes that are not UTF-8 decode to surrogates, so a file and stdin
+    give the same lines and a bad byte is reported with its line.
+    """
     if path is None:
-        return sys.stdin.read().splitlines()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()  # a text stand-in has no buffer
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", "surrogateescape")
+    return data.splitlines()
 
 
 def _write_lines(lines: Iterable[str]) -> None:
@@ -168,8 +179,8 @@ def _cmd_matrix(args) -> int:
 def _cmd_verify(args) -> int:
     if args.m > args.max_m:
         raise ValueError(
-            f"verify materializes a 2^{args.m}-bit presence map; "
-            f"raise --max-m beyond {args.max_m} to allow it"
+            f"verify holds all 2^{args.m} words, a presence map and the distances "
+            f"in memory; raise --max-m beyond {args.max_m} to allow it"
         )
     words = parse_lines(_read_lines(args.input), args.m, args.format)
     report = analyze(words, args.m, max_r=args.max_r)

@@ -8,26 +8,38 @@ Four interchangeable formats, one address per line:
 * ``csv`` - header ``n,address_dec,address_bin,hamming_to_prev`` then one
   row per address (the first row's distance column is empty)
 
-Parsing accepts any of these.  ``auto`` detection prefers csv (header
-present), then bin (every line is exactly m characters of 0/1).  Lines
-that all have exactly ceil(m/4) hex digits read as hex unless they are
+Parsing accepts any of these.  A line is ASCII whitespace around ASCII
+digits: 0/1 for bin, 0-9 for dec, and for hex an optional ``0x`` and hex
+digits.  Signs, underscores and non-ASCII characters make a line bad,
+whatever ``int()`` would make of them.  ``auto`` detection prefers csv
+(header present), then bin (every line is exactly m characters of 0/1).
+Lines that all have exactly ceil(m/4) hex digits read as hex unless they are
 also canonical decimal (no leading zeros); all-digit lines that are not
 hex-shaped read as dec.  Lines valid both ways read as dec when the two
 readings agree, and are a parse error when they differ.  Lines that are
 bin of one common width other than m, told by a leading zero, are a
 parse error naming that width.  Anything else is tried as hex.  Emitted
 output always round-trips.
+
+The parser takes the whole input at once: the set of token lengths,
+``bytes.translate`` character classes, ``map(int)`` and ``max()``.  Only
+when that finds a bad line does it bisect for the first one, so every
+error names its line.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import compress, count, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 FORMATS = ("bin", "dec", "hex", "csv")
 
 CSV_HEADER = "n,address_dec,address_bin,hamming_to_prev"
 
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_BIN, _DEC, _HEX = b"01", b"0123456789", b"0123456789abcdefABCDEF"
+_SPACE = " \t\n\r\x0b\x0c"  # ASCII whitespace, what bytes.strip() strips
 
 
 class SequenceParseError(ValueError):
@@ -69,77 +81,140 @@ def detect_format(lines: Sequence[str], m: int) -> str:
     read as both dec and hex with different values, or read as bin of
     another width.
     """
-    return _detect(list(enumerate(lines, start=1)), m)
-
-
-def _detect(numbered: list[tuple[int, str]], m: int) -> str:
-    # numbered holds (line number, stripped line) pairs for error messages
-    lines = [ln for _, ln in numbered]
-    if not lines:
-        return "bin"
-    if lines[0] == CSV_HEADER:
-        return "csv"
-    if all(len(ln) == m and set(ln) <= {"0", "1"} for ln in lines):
-        return "bin"
-    digits = (m + 3) // 4
-    hex_shaped = all(len(ln) == digits and not set(ln) - _HEX_DIGITS for ln in lines)
-    decimal = all(ln.isdigit() for ln in lines)
-    zero_led = [(i, ln) for i, ln in numbered if ln.startswith("0") and ln != "0"]
-    if not hex_shaped:
-        width = len(lines[0])
-        if zero_led and all(len(ln) == width and set(ln) <= {"0", "1"} for ln in lines):
-            raise SequenceParseError(*zero_led[0], f"reads as {width}-bit bin, not {m}-bit")
-        return "dec" if decimal else "hex"
-    if not decimal or zero_led:
-        return "hex"
-    for i, ln in numbered:
-        if int(ln, 16) != int(ln, 10):
-            raise SequenceParseError(i, ln, "reads as both dec and hex; pass --format")
-    return "dec"
+    lines = list(lines)
+    try:
+        return _detect(_Tokens(lines), m)
+    except _BadToken as bad:
+        raise SequenceParseError(bad.index + 1, lines[bad.index], bad.reason) from None
 
 
 def parse_lines(lines: Iterable[str], m: int, fmt: str = "auto") -> list[int]:
     """Parse address lines into words, validating the width.
 
-    Blank lines are ignored.  Unparseable lines raise SequenceParseError
-    naming the 1-based line number.
+    Lines are stripped of ASCII whitespace and blank lines are ignored.
+    Unparseable lines raise SequenceParseError naming the 1-based line
+    number.
     """
-    numbered = [(i, ln.strip()) for i, ln in enumerate(lines, start=1)]
-    numbered = [(i, ln) for i, ln in numbered if ln]
-    if fmt == "auto":
-        fmt = _detect(numbered, m)
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
+    stripped = list(map(str.strip, lines, repeat(_SPACE)))
+    tokens = _Tokens(list(filter(None, stripped)))
+    try:
+        if fmt == "auto":
+            fmt = _detect(tokens, m)
+    except _BadToken as bad:
+        index, reason = bad.index, bad.reason
+    else:
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
+        skip = 1 if fmt == "csv" and tokens.items[:1] == [CSV_HEADER] else 0
+        body = _Tokens(tokens.items[skip:]) if skip else tokens
+        words = _convert(body, m, fmt)
+        if not isinstance(words, str):
+            return words
+        # locate pass, on failure only: bisect for the first bad token and ask it why
+        index = skip + _first_bad(body.items, m, fmt)
+        reason = _convert(_Tokens([tokens.items[index]]), m, fmt)
+    lineno = list(compress(count(1), stripped))[index]
+    raise SequenceParseError(lineno, tokens.items[index], reason)
 
-    limit = 1 << m
-    out = []
+
+class _BadToken(Exception):
+    """Detection found token `index` of the non-blank lines bad, for `reason`."""
+
+    def __init__(self, index: int, reason: str):
+        self.index, self.reason = index, reason
+
+
+class _Tokens:
+    """Stripped, non-empty lines, with whole-list facts computed at most once."""
+
+    def __init__(self, items: list[str]):
+        self.items = items
+
+    @cached_property
+    def lengths(self) -> set[int]:
+        return set(map(len, self.items))
+
+    @cached_property
+    def charsets(self) -> set[bytes]:
+        """Which of the nested sets _BIN, _DEC and _HEX hold every character of every token."""
+        text = "".join(self.items)
+        if not text.isascii():
+            return set()
+        residue, fits = text.encode(), set()
+        for chars in (_BIN, _DEC, _HEX):
+            residue = residue.translate(None, chars)
+            if not residue:
+                fits.add(chars)
+        return fits
+
+
+def _detect(tokens: _Tokens, m: int) -> str:
+    # errors name a token index
+    items = tokens.items
+    if not items:
+        return "bin"
+    if items[0] == CSV_HEADER:
+        return "csv"
+    if tokens.lengths == {m} and _BIN in tokens.charsets:
+        return "bin"
+    hex_shaped = tokens.lengths == {(m + 3) // 4} and _HEX in tokens.charsets
+    decimal = _DEC in tokens.charsets
+    if not hex_shaped:
+        width = len(items[0])
+        if tokens.lengths == {width} and _BIN in tokens.charsets:
+            zero_led = _first_zero_led(items)
+            if zero_led is not None:
+                raise _BadToken(zero_led, f"reads as {width}-bit bin, not {m}-bit")
+        return "dec" if decimal else "hex"
+    if not decimal or _first_zero_led(items) is not None:
+        return "hex"
+    as_dec, as_hex = list(map(int, items)), list(map(int, items, repeat(16)))
+    if as_dec != as_hex:
+        differ = next(k for k, (d, h) in enumerate(zip(as_dec, as_hex)) if d != h)
+        raise _BadToken(differ, "reads as both dec and hex; pass --format")
+    return "dec"
+
+
+def _first_zero_led(items: list[str]) -> int | None:
+    # index of the first token with a leading zero that is not "0" itself
+    return next((k for k, t in enumerate(items) if t[0] == "0" and t != "0"), None)
+
+
+def _convert(tokens: _Tokens, m: int, fmt: str) -> list[int] | str:
+    """The words of the tokens in `fmt`, or the reason some token is not an m-bit address.
+
+    Every check is a property of each token on its own, so a list fails
+    exactly when one of its tokens does; _first_bad relies on that.
+    """
+    items = tokens.items
     if fmt == "csv":
-        body = numbered
-        if body and body[0][1] == CSV_HEADER:
-            body = body[1:]
-        for i, ln in body:
-            parts = ln.split(",")
-            if len(parts) != 4:
-                raise SequenceParseError(i, ln, "expected 4 csv columns")
-            bits = parts[2]
-            if len(bits) != m or set(bits) - {"0", "1"}:
-                raise SequenceParseError(i, ln, f"address_bin is not {m} bits")
-            out.append(int(bits, 2))
-        return out
+        rows = list(map(str.split, items, repeat(",")))
+        if set(map(len, rows)) - {4}:
+            return "expected 4 csv columns"
+        words = _convert(_Tokens(list(map(itemgetter(2), rows))), m, "bin")
+        return f"address_bin is not {m} bits" if isinstance(words, str) else words
+    if fmt == "bin":
+        base, ok = 2, tokens.lengths <= {m} and _BIN in tokens.charsets
+    elif fmt == "dec":
+        base, ok = 10, _DEC in tokens.charsets
+    else:
+        items = list(map(str.removeprefix, items, repeat("0x")))
+        base, ok = 16, "" not in items and _HEX in _Tokens(items).charsets
+    if not ok:
+        return f"not a {fmt} address"
+    words = list(map(int, items, repeat(base)))
+    if words and max(words) >> m:
+        return f"value out of range for {m} bits"
+    return words
 
-    for i, ln in numbered:
-        try:
-            if fmt == "bin":
-                if len(ln) != m or set(ln) - {"0", "1"}:
-                    raise ValueError
-                w = int(ln, 2)
-            elif fmt == "dec":
-                w = int(ln, 10)
-            else:
-                w = int(ln.removeprefix("0x"), 16)
-        except ValueError:
-            raise SequenceParseError(i, ln, f"not a {fmt} address") from None
-        if not 0 <= w < limit:
-            raise SequenceParseError(i, ln, f"value out of range for {m} bits")
-        out.append(w)
-    return out
+
+def _first_bad(items: list[str], m: int, fmt: str) -> int:
+    # bisect for the first token _convert rejects; the whole list is known to fail
+    lo, hi = 0, len(items)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if isinstance(_convert(_Tokens(items[lo:mid]), m, fmt), str):
+            hi = mid
+        else:
+            lo = mid
+    return lo

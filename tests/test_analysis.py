@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -86,6 +87,19 @@ def test_completeness_over_wide_space_stays_cheap():
     assert not result.complete
     assert result.first_duplicate == BitVector(40, 2)
     assert result.first_missing == BitVector(40, 3)
+
+
+def test_short_input_at_m24_allocates_no_byte_map():
+    # a 2^24-byte presence map (two, with a duplicate) once cost 32 MB for four words
+    tracemalloc.start()
+    try:
+        result = check_completeness([0, 1, 2, 2], 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert (result.distinct, result.first_duplicate, result.first_missing) == (
+        3, BitVector(24, 2), BitVector(24, 3))
 
 
 # -- bit balance ------------------------------------------------------------------
@@ -282,12 +296,15 @@ def _sequences(draw):
 
 
 _M12_RUN = random.Random(12).sample(range(1 << 12), 1 << 12)
+# words with bit 63 set: byte lane 7 and the top of the array('Q') range
+_M64_WORDS = [1 << 63, (1 << 64) - 1, 0, (1 << 63) | 0x0123456789ABCDEF, 1 << 63, 0x7F << 56]
 
 
 @settings(max_examples=50, deadline=None)
 @given(_sequences(), st.integers(1, 6))
 @example((12, _M12_RUN), 4)
 @example((12, _M12_RUN[:-1] + _M12_RUN[:1]), 4)
+@example((64, _M64_WORDS), 4)
 def test_analyze_matches_a_plain_loop_reference(case, max_r):
     m, words = case
     report = analyze(words, m, max_r=max_r)

@@ -311,6 +311,32 @@ def test_analyze_rejects_bin_of_another_width(capsys, monkeypatch):
     assert "reads as 20-bit bin, not 40-bit" in err
 
 
+# a byte that is not UTF-8 on line 3
+NOT_UTF8 = b"00\n01\n\xff0\n11\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_bytes_that_are_not_utf8_give_one_error_from_either_source(capsys, monkeypatch, tmp_path,
+                                                                   source):
+    # a file once failed with "'utf-8' codec can't decode byte 0xff in position 6", naming no line
+    argv = ["analyze", "-m", "2"]
+    if source == "file":
+        path = tmp_path / "seq.txt"
+        path.write_bytes(NOT_UTF8)
+        argv.append(str(path))
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
+    assert run_cli(capsys, *argv) == (2, "", "addrseq: line 3: not a hex address: '\\udcff0'\n")
+
+
+def test_analyze_rejects_non_ascii_digits(capsys, monkeypatch):
+    # the Arabic-Indic three once read as 3, and this input reported complete=true
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO("0\n1\n2\n\u0663\n".encode())))
+    code, out, err = run_cli(capsys, "analyze", "-m", "2", "--format", "dec")
+    assert (code, out) == (2, "")
+    assert err == "addrseq: line 4: not a dec address: '\u0663'\n"
+
+
 def test_gen_into_a_closed_pipe_exits_quietly():
     # a real OS pipe whose reader stops after one line, like `gen | head -1`
     src = str(Path(addrseq.__file__).resolve().parents[1])

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from addrseq import FORMATS, SequenceParseError, format_lines, parse_lines
 
+import _line_parser
 from _tables import TABLE_UP
 
 WORDS = [0b0000, 0b1011, 0b0011, 0b1000]
@@ -136,3 +137,79 @@ def test_every_format_round_trips(case):
     except SequenceParseError:
         return
     assert detected == words
+
+
+@pytest.mark.parametrize(
+    "lines,m,fmt,lineno",
+    [
+        (["-0", "1", "2", "3"], 2, "dec", 1),
+        (["0", "+2"], 4, "hex", 2),
+        (["1_1"], 8, "dec", 1),
+        (["1_1"], 8, "hex", 1),
+        (["0", "1", "2", "\u0663"], 2, "dec", 4),
+        (["1", "0\xa0"], 1, "bin", 2),
+        (["0x0x1f"], 8, "hex", 1),
+    ],
+    ids=["sign", "plus", "underscore-dec", "underscore-hex", "arabic-indic-3", "nbsp", "0x0x"],
+)
+def test_signs_underscores_and_non_ascii_are_rejected(lines, m, fmt, lineno):
+    # int() and str.strip() once read all of these as addresses
+    for given in (fmt, "auto"):
+        with pytest.raises(SequenceParseError, match="not a (bin|dec|hex) address") as exc:
+            parse_lines(lines, m, given)
+        assert exc.value.lineno == lineno
+
+
+_JUNK = ["+", "-", "_", " ", "\t", "x", "0x", ",", "g", "\xa0", "\u0663", "\udcff", "\u2028"]
+_PAD = st.text(" \t\x0b\x0c", max_size=2)
+
+
+@st.composite
+def _irregular_inputs(draw):
+    """Lines mostly of one shape, with junk, padding, blank lines and CRLF planted in them."""
+    m = draw(st.integers(1, 64))
+    top, digits = 1 << m, (m + 3) // 4
+    word = st.one_of(st.integers(0, top - 1), st.sampled_from([0, top - 1, top]))
+
+    def csv_row(w, columns):
+        parts = ["0", str(w), format(w, f"0{m}b"), "1"]
+        return ",".join(parts[:columns] + ["1"] * (columns - 4))
+
+    width = draw(st.integers(1, m + 2))
+    shape = draw(st.sampled_from(["bin", "dec", "hex", "0x", "csv", "digits", "0/1", "width"]))
+    lines = draw(st.lists({
+        "bin": word.map(lambda w: format(w, f"0{m}b")),
+        "dec": word.map(str),
+        "hex": word.map(lambda w: format(w, f"0{digits}x")),
+        "0x": word.map(lambda w: f"0x{w:X}"),
+        "csv": st.builds(csv_row, word, st.sampled_from([4] * 8 + [3, 5])),
+        "digits": st.text("0123456789", min_size=digits, max_size=digits),  # dec and hex at once
+        "0/1": st.text("01", min_size=1, max_size=m + 2),  # mixed widths
+        "width": st.text("01", min_size=width, max_size=width),  # bin of another width
+    }[shape], max_size=12))
+    if shape == "csv" and draw(st.booleans()):
+        lines.insert(0, "n,address_dec,address_bin,hamming_to_prev")
+    junk = draw(st.sampled_from([0, 0, 1, 4]))  # planted junk per 16 lines
+    out = []
+    for ln in lines:
+        if draw(st.integers(0, 15)) < junk:
+            at = draw(st.integers(0, len(ln)))
+            ln = ln[:at] + draw(st.sampled_from(_JUNK)) + ln[at:]
+        out.append(draw(_PAD) + ln + draw(_PAD) + draw(st.sampled_from(["", "", "\r"])))
+        if draw(st.integers(0, 5)) == 0:
+            out.append(draw(_PAD))
+    return m, draw(st.sampled_from(FORMATS + ("auto",))), out
+
+
+def _outcome(parse, lines, m, fmt):
+    try:
+        return parse(lines, m, fmt)
+    except SequenceParseError as exc:
+        return type(exc), exc.lineno, exc.line, str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_irregular_inputs())
+def test_bulk_parser_matches_the_line_parser(case):
+    m, fmt, lines = case
+    assert _outcome(parse_lines, lines, m, fmt) == _outcome(_line_parser.parse, lines, m, fmt)
