@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Iterable, Sequence
 
@@ -25,7 +26,7 @@ from .families import (
     permute_address_bits,
     sampled_rank_counts,
 )
-from .formats import FORMATS, SequenceParseError, format_lines, parse_lines
+from .formats import FORMATS, SequenceParseError, _text_blocks, parse_lines
 from .generate import (
     AddressStream,
     generate_direct,
@@ -41,13 +42,13 @@ DEFAULT_VERIFY_CAP = 28
 
 
 def _int_flag(text: str) -> int:
-    # accepts decimal, or binary/hex/octal with explicit 0b/0x/0o prefix
-    try:
+    # ASCII decimal, or binary/octal/hex after an explicit 0b/0o/0x prefix; int(text, 0)
+    # alone would also take signs, spaces, underscores and non-ASCII digits
+    if re.fullmatch(r"0+|[1-9][0-9]*|0b[01]+|0o[0-7]+|0x[0-9a-fA-F]+", text):
         return int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer (use decimal, or a 0b/0x prefix)"
-        ) from None
+    raise argparse.ArgumentTypeError(
+        f"{text!r} is not an integer (use decimal, or a 0b/0x prefix)"
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,8 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_matrix(path: str) -> GenerationMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return GenerationMatrix.from_text(fh.read())
+    # bytes that are not UTF-8 decode to surrogates, so the bad row names its line
+    with open(path, "rb") as fh:
+        return GenerationMatrix.from_text(fh.read().decode("utf-8", "surrogateescape"))
 
 
 def _read_lines(path: str | None) -> list[str]:
@@ -129,9 +131,11 @@ def _read_lines(path: str | None) -> list[str]:
     return data.splitlines()
 
 
-def _write_lines(lines: Iterable[str]) -> None:
+def _write_words(words: Iterable[int], m: int, fmt: str) -> None:
+    # one write per formatted block, so a pipe's reader wakes once per block
     try:
-        sys.stdout.writelines(line + "\n" for line in lines)
+        for text in _text_blocks(words, m, fmt):
+            sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped early (`gen | head`), which is not an error; point
@@ -164,7 +168,7 @@ def _cmd_gen(args) -> int:
     else:
         stream = generate_recursive(matrix, args.a0, args.b0, args.count)
 
-    _write_lines(format_lines(stream.words(), m, args.format))
+    _write_words(stream.words(), m, args.format)
     return 0
 
 
@@ -233,7 +237,7 @@ def _cmd_permute(args) -> int:
         raise ValueError(f"--perm expects a comma list of positions, got {args.perm!r}") from None
     words = parse_lines(_read_lines(args.input), args.m, args.in_format)
     stream = permute_address_bits(AddressStream(args.m, len(words), iter(words)), perm)
-    _write_lines(format_lines(stream.words(), args.m, args.format))
+    _write_words(stream.words(), args.m, args.format)
     return 0
 
 

@@ -21,6 +21,9 @@ bin of one common width other than m, told by a leading zero, are a
 parse error naming that width.  Anything else is tried as hex.  Emitted
 output always round-trips.
 
+Formatting renders a block of words into one string with a single
+``map(format)`` and join; the CLI writes each block with one call.
+
 The parser takes the whole input at once: the set of token lengths,
 ``bytes.translate`` character classes, ``map(int)`` and ``max()``.  Only
 when that finds a bad line does it bisect for the first one, so every
@@ -30,8 +33,8 @@ error names its line.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress, count, repeat
-from operator import itemgetter
+from itertools import chain, compress, count, islice, repeat
+from operator import itemgetter, xor
 from typing import Iterable, Iterator, Sequence
 
 FORMATS = ("bin", "dec", "hex", "csv")
@@ -40,6 +43,7 @@ CSV_HEADER = "n,address_dec,address_bin,hamming_to_prev"
 
 _BIN, _DEC, _HEX = b"01", b"0123456789", b"0123456789abcdefABCDEF"
 _SPACE = " \t\n\r\x0b\x0c"  # ASCII whitespace, what bytes.strip() strips
+_BLOCK = 1024  # words per formatted block, so a pipe sees one write per 1024 lines
 
 
 class SequenceParseError(ValueError):
@@ -53,25 +57,32 @@ class SequenceParseError(ValueError):
 
 def format_lines(words: Iterable[int], m: int, fmt: str = "bin") -> Iterator[str]:
     """Render a stream of address words as lines in the requested format."""
-    if fmt == "bin":
-        for w in words:
-            yield format(w, f"0{m}b")
-    elif fmt == "dec":
-        for w in words:
-            yield str(w)
-    elif fmt == "hex":
-        digits = (m + 3) // 4
-        for w in words:
-            yield format(w, f"0{digits}x")
-    elif fmt == "csv":
-        yield CSV_HEADER
-        prev = None
-        for n, w in enumerate(words):
-            dist = "" if prev is None else str((prev ^ w).bit_count())
-            yield f"{n},{w},{format(w, f'0{m}b')},{dist}"
-            prev = w
-    else:
+    for text in _text_blocks(words, m, fmt):
+        yield from text.splitlines()
+
+
+def _text_blocks(words: Iterable[int], m: int, fmt: str) -> Iterator[str]:
+    """The lines of `words` in `fmt`, as one newline-ended string per block of words.
+
+    csv's header comes first, on its own; its row numbers and distances
+    run on across blocks.
+    """
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
+    words = iter(words)
+    blocks = iter(lambda: list(islice(words, _BLOCK)), [])
+    if fmt == "csv":
+        yield CSV_HEADER + "\n"
+        row, n, prev = f"{{}},{{}},{{:0{m}b}},{{}}".format, 0, None
+        for block in blocks:
+            first = "" if prev is None else (prev ^ block[0]).bit_count()
+            dists = chain((first,), map(int.bit_count, map(xor, block, islice(block, 1, None))))
+            yield "\n".join(map(row, count(n), block, block, dists)) + "\n"
+            n, prev = n + len(block), block[-1]
+        return
+    spec = {"bin": f"0{m}b", "hex": f"0{(m + 3) // 4}x"}.get(fmt)
+    for block in blocks:
+        yield "\n".join(map(format, block, repeat(spec)) if spec else map(str, block)) + "\n"
 
 
 def detect_format(lines: Sequence[str], m: int) -> str:

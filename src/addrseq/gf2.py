@@ -199,8 +199,9 @@ class GenerationMatrix:
     # -- matrix text format -------------------------------------------------
     #
     # First line "m=<int>", then m lines of exactly m characters from {0,1},
-    # line i holding row i printed MSB-first.  Trailing whitespace on any
-    # line is insignificant.
+    # line i holding row i printed MSB-first.  The width is ASCII digits.
+    # Trailing whitespace and blank lines are insignificant; an error names
+    # its line as counted in the text, blank lines included.
 
     def to_text(self) -> str:
         lines = [f"m={self.m}"]
@@ -209,18 +210,18 @@ class GenerationMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "GenerationMatrix":
-        lines = [ln.rstrip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln != ""]
-        if not lines or not lines[0].startswith("m="):
+        # (line number in the text, line) for each non-blank line, so errors name the file's line
+        lines = [(i, ln) for i, ln in enumerate(map(str.rstrip, text.splitlines()), 1) if ln]
+        if not lines or not lines[0][1].startswith("m="):
             raise ValueError("matrix text must start with a 'm=<int>' line")
-        try:
-            m = int(lines[0][2:])
-        except ValueError:
-            raise ValueError(f"bad width declaration: {lines[0]!r}") from None
+        width = lines[0][1][2:]
+        if not (width.isascii() and width.isdigit()):
+            raise ValueError(f"bad width declaration: {lines[0][1]!r}")
+        m = int(width)
         if len(lines) - 1 != m:
             raise ValueError(f"expected {m} row lines, found {len(lines) - 1}")
         rows = []
-        for i, ln in enumerate(lines[1:], start=2):
+        for i, ln in lines[1:]:
             if len(ln) != m or any(c not in "01" for c in ln):
                 raise ValueError(f"line {i}: expected {m} characters of 0/1, got {ln!r}")
             rows.append(ln)

@@ -84,6 +84,26 @@ def test_gen_b0_accepts_binary_and_decimal(capsys, worked_file):
         assert out_words(out) == TABLE_B0_3
 
 
+@pytest.mark.parametrize("flag", ["--a0", "--b0"])
+@pytest.mark.parametrize("text", ["1_0", "+1", "-1", "\u0663", " 1", "0x"])
+def test_gen_start_flags_take_only_address_text(capsys, flag, text):
+    # int(text, 0) once read `1_0` as ten and the Arabic-Indic three as 3
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "-m", "4", "--family", "linear", flag, text, "--count", "2"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"{text!r} is not an integer (use decimal, or a 0b/0x prefix)" in err
+
+
+def test_gen_matrix_file_that_is_not_utf8_names_its_line(capsys, tmp_path):
+    # this once failed with "'utf-8' codec can't decode byte 0xff in position 8"
+    path = tmp_path / "V.txt"
+    path.write_bytes(b"m=2\n10\n0\xff\n")
+    code, out, err = run_cli(capsys, "gen", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err == "addrseq: line 3: expected 2 characters of 0/1, got '0\\udcff'\n"
+
+
 def test_gen_count_limits_output(capsys):
     code, out, _ = run_cli(capsys, "gen", "-m", "3", "--family", "gray", "--count", "5")
     assert code == 0
@@ -337,17 +357,67 @@ def test_analyze_rejects_non_ascii_digits(capsys, monkeypatch):
     assert err == "addrseq: line 4: not a dec address: '\u0663'\n"
 
 
-def test_gen_into_a_closed_pipe_exits_quietly():
-    # a real OS pipe whose reader stops after one line, like `gen | head -1`
+class _CountingStdout(io.StringIO):
+    """A stdout stand-in that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_gen_writes_a_block_of_lines_per_call():
+    out = _CountingStdout()
+    with redirect_stdout(out):
+        assert main(["gen", "-m", "12", "--family", "linear"]) == 0
+    assert out.getvalue().count("\n") == 4096
+    assert out.writes <= 5  # four blocks of 1024 lines, not a write per line
+
+
+def test_gen_csv_of_no_addresses_prints_the_header_alone(capsys):
+    code, out, err = run_cli(capsys, "gen", "-m", "4", "--family", "linear", "--count", "0",
+                             "--format", "csv")
+    assert (code, out, err) == (0, "n,address_dec,address_bin,hamming_to_prev\n", "")
+
+
+def run_into_a_closed_pipe(argv, stdin=None):
+    """Run the CLI with stdout on a real OS pipe whose reader stops after one line,
+    like `gen | head -1`; return that line, the exit code and stderr."""
     src = str(Path(addrseq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    argv = [sys.executable, "-m", "addrseq.cli", "gen", "-m", "16", "--family", "linear"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen([sys.executable, "-m", "addrseq.cli", *argv], stdin=stdin,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     first = proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
+    return first, proc.returncode, err
+
+
+def test_gen_into_a_closed_pipe_exits_quietly():
+    first, code, err = run_into_a_closed_pipe(["gen", "-m", "16", "--family", "linear"])
     assert first == b"0" * 16 + b"\n"
-    assert (proc.returncode, err) == (0, b"")
+    assert (code, err) == (0, b"")
+
+
+# at m=64 a block of 1024 bin lines is 66560 bytes and a csv block more, so one
+# block is larger than a 64 KiB pipe and the first write already meets the closed end
+@pytest.mark.parametrize(
+    "argv,first",
+    [
+        (["gen", "-m", "64", "--family", "linear", "--count", "4096", "--format", "csv"],
+         b"n,address_dec,address_bin,hamming_to_prev"),
+        (["permute", "-m", "64", "--perm", ",".join(map(str, range(64, 0, -1)))], b"0" * 64),
+    ],
+    ids=["gen-csv", "permute"],
+)
+def test_blocks_larger_than_the_pipe_into_a_closed_pipe_exit_quietly(tmp_path, argv, first):
+    path = tmp_path / "seq.txt"
+    path.write_text("".join(f"{k:064b}\n" for k in range(4096)))
+    with open(path, "rb") as stdin:
+        line, code, err = run_into_a_closed_pipe(argv, stdin)
+    assert line == first + b"\n"
+    assert (code, err) == (0, b"")
 
 
 # -- rank-stats --------------------------------------------------------------------------

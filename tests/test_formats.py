@@ -1,9 +1,15 @@
+import io
+import random
+from contextlib import redirect_stdout
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addrseq import FORMATS, SequenceParseError, format_lines, parse_lines
+from addrseq.cli import _write_words
 
+import _line_format
 import _line_parser
 from _tables import TABLE_UP
 
@@ -213,3 +219,47 @@ def _outcome(parse, lines, m, fmt):
 def test_bulk_parser_matches_the_line_parser(case):
     m, fmt, lines = case
     assert _outcome(parse_lines, lines, m, fmt) == _outcome(_line_parser.parse, lines, m, fmt)
+
+
+# word counts around the 1024-word block: none, one, a block and one either
+# side of it, and three blocks with an odd tail
+_BLOCK_COUNTS = [0, 1, 1023, 1024, 1025, 3 * 1024 + 17]
+
+
+@st.composite
+def _word_runs(draw):
+    """A width, a format and words: random, a counter run, or a few values repeated."""
+    m = draw(st.integers(1, 64))
+    count = draw(st.sampled_from(_BLOCK_COUNTS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "run", "repeats"]))
+    if kind == "random":
+        words = [rng.getrandbits(m) for _ in range(count)]
+    elif kind == "run":
+        start = rng.getrandbits(m)
+        words = [(start + k) % (1 << m) for k in range(count)]
+    else:
+        pool = [rng.getrandbits(m) for _ in range(3)]
+        words = [rng.choice(pool) for _ in range(count)]
+    return m, draw(st.sampled_from(FORMATS)), words
+
+
+@settings(max_examples=120, deadline=None)
+@given(_word_runs())
+def test_block_formatter_matches_the_line_formatter(case):
+    m, fmt, words = case
+    want = list(_line_format.format_lines(words, m, fmt))
+    assert list(format_lines(words, m, fmt)) == want
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _write_words(iter(words), m, fmt)
+    assert out.getvalue() == "".join(line + "\n" for line in want)
+
+
+def test_csv_rows_run_on_across_blocks():
+    words = [k % 16 for k in range(3 * 1024 + 17)]
+    lines = list(format_lines(words, 4, "csv"))
+    # row 1024 opens the second block: its number and distance continue the first block's
+    assert lines[1024:1027] == ["1023,15,1111,1", "1024,0,0000,4", "1025,1,0001,1"]
+    assert lines[-1] == "3088,0,0000,4"
+    assert len(lines) == 1 + len(words)

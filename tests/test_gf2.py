@@ -232,8 +232,20 @@ def test_matrix_text_ignores_trailing_whitespace():
         "m=4\n1011\n1000\n0101\n11x1\n",     # bad character
         "m=4\n1011\n1000\n0101\n111\n",      # short row
         "m=x\n",                             # unparseable width
+        "m=+2\n10\n01\n",                    # widths int() once read as 2
+        "m= 2\n10\n01\n",
+        "m=0_2\n10\n01\n",
+        "m=\u0662\n10\n01\n",
     ],
 )
 def test_matrix_text_parse_errors(text):
     with pytest.raises(ValueError):
         GenerationMatrix.from_text(text)
+
+
+def test_matrix_text_errors_name_the_line_in_the_text():
+    # blank lines count: the bad row sits on line 4, which was once reported as line 3
+    with pytest.raises(ValueError, match=r"^line 4: expected 2 characters of 0/1, got '0x'$"):
+        GenerationMatrix.from_text("m=2\n\n10\n0x\n")
+    with pytest.raises(ValueError, match=r"^line 5: "):
+        GenerationMatrix.from_text("\nm=2\n10\n\n0\udcff\n")
