@@ -28,7 +28,7 @@ import sys
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from typing import Iterable, NamedTuple
 
 from .gf2 import BitVector
@@ -83,60 +83,39 @@ class Completeness:
 def check_completeness(words: Iterable[int], m: int) -> Completeness:
     """Scan a sequence of m-bit words for length 2^m with all values distinct.
 
-    Presence is tracked in a 2^m-byte map for m <= 24 when the input
-    holds at least 2^m / 8 words, else in a 2^m-bit map for m <= 28 and
-    in a set sized by the input above that, so short sequences over wide
-    address spaces stay cheap.
+    Presence is tracked in a 2^m-byte map when the input holds at least
+    2^m / 8 words, where the map is no larger than the word list, and in
+    a set of the words otherwise, so short sequences over wide address
+    spaces stay cheap at any m.
     """
     return _completeness(_as_words(words, m), m)
 
 
 def _completeness(words: list[int], m: int) -> Completeness:
-    full = 1 << m
-    first_dup = None
-    if m <= 24 and len(words) << 3 >= full:
-        # one byte per address, set in bulk, then counted and searched as a buffer;
-        # shorter input keeps the bit map, a byte for eight addresses
+    full, first_dup = 1 << m, None
+    if len(words) << 3 >= full:
+        # dense: one byte per address, set in bulk, then counted and searched as a buffer
         seen = bytearray(full)
         deque(map(seen.__setitem__, words, repeat(1)), maxlen=0)
-        distinct = full - seen.count(0)
-        if len(words) > distinct:  # some word repeats: find the first repeat
-            again = bytearray(full)
+        distinct, missing = full - seen.count(0), seen.find(0)
+        if len(words) > distinct:  # some word repeats: its first sighting clears its byte
             for w in words:
-                if again[w]:
+                if not seen[w]:
                     first_dup = BitVector(m, w)
                     break
-                again[w] = 1
-        missing = seen.find(0)
-        first_missing = BitVector(m, missing) if missing >= 0 else None
+                seen[w] = 0
     else:
-        if m <= 28:
-            seen = bytearray(max(full >> 3, 1))
-            distinct = 0
+        # sparse: a set sized by the input; by pigeonhole, 0..distinct lacks a value
+        seen_set = set(words)
+        distinct = len(seen_set)
+        missing = next(w for w in count() if w not in seen_set)
+        if len(words) > distinct:  # some word repeats: its first sighting removes it
             for w in words:
-                bit = 1 << (w & 7)
-                if seen[w >> 3] & bit:
-                    if first_dup is None:
-                        first_dup = BitVector(m, w)
-                else:
-                    seen[w >> 3] |= bit
-                    distinct += 1
-            present = lambda w: seen[w >> 3] & (1 << (w & 7))
-        else:
-            seen_set: set[int] = set()
-            for w in words:
-                if w in seen_set and first_dup is None:
+                if w not in seen_set:
                     first_dup = BitVector(m, w)
-                seen_set.add(w)
-            distinct = len(seen_set)
-            present = lambda w: w in seen_set
-        first_missing = None
-        if distinct != full:
-            # pigeonhole: some value in 0..distinct is absent
-            for w in range(distinct + 1):
-                if not present(w):
-                    first_missing = BitVector(m, w)
                     break
+                seen_set.remove(w)
+    first_missing = BitVector(m, missing) if missing >= 0 else None
     complete = len(words) == full and distinct == full
     return Completeness(complete, m, len(words), distinct, first_dup, first_missing)
 

@@ -26,7 +26,7 @@ from .families import (
     permute_address_bits,
     sampled_rank_counts,
 )
-from .formats import FORMATS, SequenceParseError, _text_blocks, parse_lines
+from .formats import FORMATS, _ascii_int, _split_lines, _text_blocks, parse_lines
 from .generate import (
     AddressStream,
     generate_direct,
@@ -34,11 +34,20 @@ from .generate import (
     generate_recursive,
     generate_shifted,
 )
-from .gf2 import GenerationMatrix, RankDeficiencyError
+from .gf2 import GenerationMatrix
 
-# verify holds every word, a presence map (a byte per address up to m=24, a bit
-# above) and the 2^m - 1 distances: about 160 MB at m=20, doubling per bit
+# verify holds every word, a presence map (a byte per address for a full period,
+# a set of the words for a sparse input) and the 2^m - 1 distances: about 160 MB
+# at m=20, doubling per bit
 DEFAULT_VERIFY_CAP = 28
+
+
+def _int_arg(text: str) -> int:
+    # every integer option but --a0/--b0: an optional '-' and ASCII digits
+    try:
+        return _ascii_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_flag(text: str) -> int:
@@ -60,47 +69,47 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit an address sequence on stdout")
-    gen.add_argument("-m", type=int, help="address width in bits (1..64)")
+    gen.add_argument("-m", type=_int_arg, help="address width in bits (1..64)")
     src = gen.add_mutually_exclusive_group(required=True)
     src.add_argument("--family", help=f"matrix family: {FAMILY_HELP}")
     src.add_argument("--matrix", help="matrix text file (first line m=<int>)")
     gen.add_argument("--engine", choices=("recursive", "direct"), default="recursive")
     gen.add_argument("--down", action="store_true", help="emit the reversed sequence")
-    gen.add_argument("--shift", type=int, help="emit the sequence rotated by L positions")
+    gen.add_argument("--shift", type=_int_arg, help="emit the sequence rotated by L positions")
     gen.add_argument("--a0", type=_int_flag, default=0, help="initial address (e.g. 0b1000 or 8)")
     gen.add_argument("--b0", type=_int_flag, default=0, help="initial counter (e.g. 0b0011 or 3)")
-    gen.add_argument("--count", type=int, help="addresses to emit (default 2^m)")
+    gen.add_argument("--count", type=_int_arg, help="addresses to emit (default 2^m)")
     gen.add_argument("--format", choices=FORMATS, default="bin")
-    gen.add_argument("--seed", type=int, help="seed for the random family")
+    gen.add_argument("--seed", type=_int_arg, help="seed for the random family")
 
     mat = sub.add_parser("matrix", help="emit a family matrix in the text format")
-    mat.add_argument("-m", type=int, required=True)
+    mat.add_argument("-m", type=_int_arg, required=True)
     mat.add_argument("--family", required=True, help=f"matrix family: {FAMILY_HELP}")
     mat.add_argument("--check", action="store_true", help="report the rank on stderr")
-    mat.add_argument("--seed", type=int, help="seed for the random family")
+    mat.add_argument("--seed", type=_int_arg, help="seed for the random family")
 
     ver = sub.add_parser("verify", help="check a sequence; exit 1 on any property failure")
     ana = sub.add_parser("analyze", help="print the full report; always exit 0")
     for p in (ver, ana):
-        p.add_argument("-m", type=int, required=True)
+        p.add_argument("-m", type=_int_arg, required=True)
         p.add_argument("input", nargs="?", help="sequence file (default: stdin)")
         p.add_argument("--format", choices=FORMATS + ("auto",), default="auto")
-        p.add_argument("--max-r", type=int, default=4, help="largest balance tuple size")
+        p.add_argument("--max-r", type=_int_arg, default=4, help="largest balance tuple size")
     ver.add_argument(
         "--max-m",
-        type=int,
+        type=_int_arg,
         default=DEFAULT_VERIFY_CAP,
         help=f"refuse widths above this cap (default {DEFAULT_VERIFY_CAP})",
     )
 
     rs = sub.add_parser("rank-stats", help="full-rank statistics for random matrices")
-    rs.add_argument("-m", type=int, required=True)
-    rs.add_argument("-n", "--samples", type=int, default=100_000)
-    rs.add_argument("--seed", type=int, default=0)
+    rs.add_argument("-m", type=_int_arg, required=True)
+    rs.add_argument("-n", "--samples", type=_int_arg, default=100_000)
+    rs.add_argument("--seed", type=_int_arg, default=0)
     rs.add_argument("--exhaustive", action="store_true", help="enumerate all matrices (m <= 4)")
 
     perm = sub.add_parser("permute", help="rearrange the bits of every address")
-    perm.add_argument("-m", type=int, required=True)
+    perm.add_argument("-m", type=_int_arg, required=True)
     perm.add_argument("input", nargs="?", help="sequence file (default: stdin)")
     perm.add_argument("--perm", required=True, help="comma list: output bit k reads input bit perm[k]")
     perm.add_argument("--format", choices=FORMATS, default="bin")
@@ -128,7 +137,7 @@ def _read_lines(path: str | None) -> list[str]:
             data = fh.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8", "surrogateescape")
-    return data.splitlines()
+    return _split_lines(data)
 
 
 def _write_words(words: Iterable[int], m: int, fmt: str) -> None:
@@ -186,17 +195,20 @@ def _cmd_verify(args) -> int:
             f"verify holds all 2^{args.m} words, a presence map and the distances "
             f"in memory; raise --max-m beyond {args.max_m} to allow it"
         )
-    words = parse_lines(_read_lines(args.input), args.m, args.format)
-    report = analyze(words, args.m, max_r=args.max_r)
-    sys.stdout.write(format_report(report))
-    return 0 if report.ok else 1
+    return 0 if _write_report(args) else 1
 
 
 def _cmd_analyze(args) -> int:
+    _write_report(args)
+    return 0
+
+
+def _write_report(args) -> bool:
+    """Print the report of the input sequence; True when it passes."""
     words = parse_lines(_read_lines(args.input), args.m, args.format)
     report = analyze(words, args.m, max_r=args.max_r)
     sys.stdout.write(format_report(report))
-    return 0
+    return report.ok
 
 
 def _rank_summary(counts: dict[int, int], m: int) -> tuple[int, int, float, float]:
@@ -232,7 +244,7 @@ def _cmd_rank_stats(args) -> int:
 
 def _cmd_permute(args) -> int:
     try:
-        perm = [int(x) for x in args.perm.split(",")]
+        perm = list(map(_ascii_int, args.perm.split(",")))
     except ValueError:
         raise ValueError(f"--perm expects a comma list of positions, got {args.perm!r}") from None
     words = parse_lines(_read_lines(args.input), args.m, args.in_format)
@@ -260,13 +272,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return _HANDLERS[args.command](args)
-    except RankDeficiencyError as exc:
-        print(f"addrseq: {exc}", file=sys.stderr)
-        return 2
-    except SequenceParseError as exc:
-        print(f"addrseq: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # RankDeficiencyError and SequenceParseError too
         print(f"addrseq: {exc}", file=sys.stderr)
         return 2
 

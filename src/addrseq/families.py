@@ -23,9 +23,12 @@ and address-bit permutation of an existing stream.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from .gf2 import BitsLike, BitVector, GenerationMatrix, as_bitvector, rank_of_words
+from .formats import _ascii_int
 from .generate import AddressStream
 
 FULLRANK_LIMIT = 0.2887880950866  # limit of prod(1 - 2^-i) as m grows
@@ -254,20 +257,8 @@ def exhaustive_rank_counts(m: int) -> dict[int, int]:
     """Census of ranks over all 2^(m*m) matrices (m <= 4 only)."""
     if not 1 <= m <= 4:
         raise ValueError(f"exhaustive enumeration is limited to m <= 4, got {m}")
-    full = 1 << m
-    counts = dict.fromkeys(range(m + 1), 0)
-
-    def recurse(rows: list[int], depth: int):
-        if depth == m:
-            counts[rank_of_words(rows)] += 1
-            return
-        for w in range(full):
-            rows.append(w)
-            recurse(rows, depth + 1)
-            rows.pop()
-
-    recurse([], 0)
-    return counts
+    counts = Counter(map(rank_of_words, product(range(1 << m), repeat=m)))
+    return {r: counts[r] for r in range(m + 1)}
 
 
 # -- address-bit permutation --------------------------------------------------
@@ -330,7 +321,6 @@ def family_matrix(spec: str, m: int, seed: int | None = None) -> GenerationMatri
     """Build a family matrix from its CLI name, e.g. ``pow2:2`` or ``random:seed=7``."""
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
-    arg = arg.strip()
     try:
         if name == "linear":
             if arg:
@@ -339,7 +329,7 @@ def family_matrix(spec: str, m: int, seed: int | None = None) -> GenerationMatri
         if name == "pow2":
             if not arg:
                 raise ValueError("pow2 needs a shift, e.g. pow2:2")
-            return power2_matrix(m, int(arg))
+            return power2_matrix(m, _ascii_int(arg))
         if name == "complement":
             if arg:
                 raise ValueError("complement takes no parameter")
@@ -349,7 +339,7 @@ def family_matrix(spec: str, m: int, seed: int | None = None) -> GenerationMatri
                 raise ValueError("limited takes no parameter")
             return limited_matrix(m)
         if name == "gray":
-            perm = [int(x) for x in arg.split(",")] if arg else None
+            perm = list(map(_ascii_int, arg.split(","))) if arg else None
             return graycode_matrix(m, perm)
         if name == "quasi":
             if arg:
@@ -357,7 +347,7 @@ def family_matrix(spec: str, m: int, seed: int | None = None) -> GenerationMatri
             return quasirandom_matrix(m)
         if name == "random":
             if arg:
-                seed = int(arg.removeprefix("seed="))
+                seed = _ascii_int(arg.removeprefix("seed="))
             if seed is None:
                 raise ValueError("random needs a seed, e.g. random:7 (or --seed)")
             return random_fullrank_matrix(m, seed)

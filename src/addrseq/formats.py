@@ -21,6 +21,9 @@ bin of one common width other than m, told by a leading zero, are a
 parse error naming that width.  Anything else is tried as hex.  Emitted
 output always round-trips.
 
+Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, in sequence and matrix
+text alike.
+
 Formatting renders a block of words into one string with a single
 ``map(format)`` and join; the CLI writes each block with one call.
 
@@ -53,6 +56,25 @@ class SequenceParseError(ValueError):
         self.lineno = lineno
         self.line = line
         super().__init__(f"line {lineno}: {reason}: {line!r}")
+
+
+def _split_lines(text: str) -> list[str]:
+    """The lines of `text`, ended by \\n, \\r\\n or \\r only.
+
+    Other characters that ``str.splitlines`` breaks at, such as \\x1c or
+    U+2028, stay inside their line, where they make it bad.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def _ascii_int(text: str) -> int:
+    """`text` read as an optional '-' and ASCII digits: the rule for every integer option."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 def format_lines(words: Iterable[int], m: int, fmt: str = "bin") -> Iterator[str]:

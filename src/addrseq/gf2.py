@@ -17,7 +17,10 @@ computation works on a scratch copy.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence, Union
+
+from .formats import _SPACE, _split_lines
 
 MAX_WIDTH = 64
 
@@ -85,19 +88,11 @@ class BitVector:
             raise ValueError(f"not a binary string: {bits!r}")
         return cls(len(bits), int(bits, 2))
 
-    @classmethod
-    def zeros(cls, width: int) -> "BitVector":
-        return cls(width, 0)
-
     def bit(self, i: int) -> int:
         """Bit at 1-based position `i` (position 1 is least significant)."""
         if not 1 <= i <= self.width:
             raise ValueError(f"bit position {i} out of range 1..{self.width}")
         return (self.word >> (i - 1)) & 1
-
-    def weight(self) -> int:
-        """Number of set bits."""
-        return self.word.bit_count()
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if not isinstance(other, BitVector):
@@ -188,9 +183,6 @@ class GenerationMatrix:
         """Rows as plain ints, for bulk arithmetic."""
         return self._words
 
-    def is_full_rank(self) -> bool:
-        return self.rank == self.m
-
     def require_full_rank(self) -> "GenerationMatrix":
         if self.rank != self.m:
             raise RankDeficiencyError(self.rank, self.m)
@@ -200,8 +192,9 @@ class GenerationMatrix:
     #
     # First line "m=<int>", then m lines of exactly m characters from {0,1},
     # line i holding row i printed MSB-first.  The width is ASCII digits.
-    # Trailing whitespace and blank lines are insignificant; an error names
-    # its line as counted in the text, blank lines included.
+    # Lines end at \n, \r\n or \r.  Trailing ASCII whitespace and blank
+    # lines are insignificant; an error names its line as counted in the
+    # text, blank lines included.
 
     def to_text(self) -> str:
         lines = [f"m={self.m}"]
@@ -211,7 +204,8 @@ class GenerationMatrix:
     @classmethod
     def from_text(cls, text: str) -> "GenerationMatrix":
         # (line number in the text, line) for each non-blank line, so errors name the file's line
-        lines = [(i, ln) for i, ln in enumerate(map(str.rstrip, text.splitlines()), 1) if ln]
+        stripped = map(str.rstrip, _split_lines(text), repeat(_SPACE))
+        lines = [(i, ln) for i, ln in enumerate(stripped, 1) if ln]
         if not lines or not lines[0][1].startswith("m="):
             raise ValueError("matrix text must start with a 'm=<int>' line")
         width = lines[0][1][2:]

@@ -102,6 +102,64 @@ def test_short_input_at_m24_allocates_no_byte_map():
         3, BitVector(24, 2), BitVector(24, 3))
 
 
+def test_sparse_input_at_m28_allocates_no_bit_map():
+    # a 2^28-bit presence map once cost 33.6 MB for four words
+    tracemalloc.start()
+    try:
+        result = check_completeness([5, 0, 5, 1], 28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (result.distinct, result.first_duplicate, result.first_missing) == (
+        3, BitVector(28, 5), BitVector(28, 2))
+
+
+def _reference_completeness(words, m):
+    """(distinct, first duplicate, first missing) of `words`, from a plain loop over a set."""
+    seen, duplicate = set(), None
+    for w in words:
+        if w in seen and duplicate is None:
+            duplicate = BitVector(m, w)
+        seen.add(w)
+    missing = next((BitVector(m, w) for w in range(1 << m) if w not in seen), None)
+    return len(seen), duplicate, missing
+
+
+@st.composite
+def _around_the_density_boundary(draw):
+    """Words whose count sits at 2^m / 8 (+-1) for m = 13..16, or far below it for m = 17..64."""
+    m = draw(st.sampled_from([13, 14, 15, 16, 17, 20, 24, 28, 29, 40, 63, 64]))
+    if m <= 16:
+        n = (1 << m) // 8 + draw(st.integers(-1, 1))
+    else:
+        n = draw(st.integers(0, 300))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "distinct", "low run"]))
+    if kind == "low run":  # 0..n-1 shuffled: the first missing word is n, the pigeonhole's last
+        words = rng.sample(range(n), n)
+    elif kind == "distinct" and m <= 16:
+        words = rng.sample(range(1 << m), n)
+    else:  # wider random words are nearly always distinct too
+        words = [rng.getrandbits(m) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if words else 0):
+        words[rng.randrange(n)] = words[rng.randrange(n)]
+    return m, words
+
+
+@settings(max_examples=150, deadline=None)
+@given(_around_the_density_boundary())
+@example((13, list(range(1024))))  # exactly 2^m / 8 words: the byte map
+@example((13, list(range(1023)) + [0]))  # one fewer distinct, and a repeat
+@example((29, [3, 1, 0, 1, 2, 3]))
+def test_completeness_matches_a_set_reference(case):
+    m, words = case
+    result = check_completeness(words, m)
+    assert (result.length, result.complete) == (len(words), False)
+    assert (result.distinct, result.first_duplicate, result.first_missing) == (
+        _reference_completeness(words, m))
+
+
 # -- bit balance ------------------------------------------------------------------
 
 
@@ -261,12 +319,7 @@ def _reference_report(words, m, max_r):
         distances.append(sum(((prev ^ cur) >> b) & 1 for b in range(m)))
         for b in range(m):
             flips[b] += ((prev ^ cur) >> b) & 1
-    seen, duplicate = set(), None
-    for w in words:
-        if w in seen and duplicate is None:
-            duplicate = BitVector(m, w)
-        seen.add(w)
-    missing = next((BitVector(m, w) for w in range(1 << m) if w not in seen), None)
+    _, duplicate, missing = _reference_completeness(words, m)
     complete = len(words) == 1 << m and missing is None
     return {
         "length": len(words),

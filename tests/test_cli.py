@@ -95,6 +95,62 @@ def test_gen_start_flags_take_only_address_text(capsys, flag, text):
     assert f"{text!r} is not an integer (use decimal, or a 0b/0x prefix)" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "-m", "{}", "--family", "linear"],
+        ["gen", "-m", "4", "--family", "linear", "--count", "{}"],
+        ["gen", "-m", "4", "--family", "linear", "--shift", "{}"],
+        ["gen", "-m", "4", "--family", "random", "--seed", "{}"],
+        ["matrix", "-m", "4", "--family", "random", "--seed", "{}"],
+        ["verify", "-m", "4", "--max-r", "{}"],
+        ["verify", "-m", "4", "--max-m", "{}"],
+        ["analyze", "-m", "{}"],
+        ["rank-stats", "-m", "4", "-n", "{}"],
+        ["rank-stats", "-m", "4", "--seed", "{}"],
+        ["permute", "-m", "{}", "--perm", "1"],
+    ],
+    ids=lambda argv: argv[0] + argv[argv.index("{}") - 1],
+)
+@pytest.mark.parametrize("text", ["\u0664", "+2", "1_0", " 1", "2 ", "1-", "0x4"])
+def test_integer_options_take_only_ascii_digits(capsys, argv, text):
+    # int() once read the Arabic-Indic four as 4, `+2` as 2 and `1_0` as ten
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(text) for a in argv])
+    assert exc.value.code == 2
+    assert f"{text!r} is not an integer" in capsys.readouterr().err
+
+
+def test_integer_options_keep_their_range_checks(capsys):
+    code, out, err = run_cli(capsys, "gen", "-m", "4", "--family", "linear", "--count", "-1")
+    assert (code, out, err) == (2, "", "addrseq: count must be in 0..2^4, got -1\n")
+    code, out, _ = run_cli(capsys, "rank-stats", "-m", "2", "-n", "3", "--seed", "-3")
+    assert (code, out.splitlines()[3]) == (0, "seed=-3")
+    code, out, _ = run_cli(capsys, "gen", "-m", "04", "--family", "pow2:01", "--count", "02")
+    assert (code, out) == (0, "0000\n0010\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["permute", "-m", "4", "--perm", " 1,2,3,4"],
+         "--perm expects a comma list of positions, got ' 1,2,3,4'"),
+        (["permute", "-m", "4", "--perm", "+1,2,3,4"],
+         "--perm expects a comma list of positions, got '+1,2,3,4'"),
+        (["gen", "-m", "4", "--family", "pow2:\u0663"], "bad family 'pow2:\u0663': '\u0663' is not an integer"),
+        (["gen", "-m", "4", "--family", "pow2: 1"], "bad family 'pow2: 1': ' 1' is not an integer"),
+        (["gen", "-m", "4", "--family", "gray:1,2,3,+4"], "bad family 'gray:1,2,3,+4': '+4' is not an integer"),
+        (["gen", "-m", "4", "--family", "random:1_0"], "bad family 'random:1_0': '1_0' is not an integer"),
+        (["gen", "-m", "4", "--family", "random:seed=1_0"],
+         "bad family 'random:seed=1_0': '1_0' is not an integer"),
+    ],
+    ids=["perm-space", "perm-plus", "pow2-digit", "pow2-space", "gray-plus", "random", "random-seed"],
+)
+def test_list_and_family_integers_take_only_ascii_digits(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0000\n0001\n"))
+    assert run_cli(capsys, *argv) == (2, "", f"addrseq: {message}\n")
+
+
 def test_gen_matrix_file_that_is_not_utf8_names_its_line(capsys, tmp_path):
     # this once failed with "'utf-8' codec can't decode byte 0xff in position 8"
     path = tmp_path / "V.txt"
@@ -355,6 +411,43 @@ def test_analyze_rejects_non_ascii_digits(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "analyze", "-m", "2", "--format", "dec")
     assert (code, out) == (2, "")
     assert err == "addrseq: line 4: not a dec address: '\u0663'\n"
+
+
+def test_sequence_lines_end_only_at_newlines(capsys, monkeypatch):
+    # str.splitlines once broke this line at \x1c, and the input reported complete=true
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"01\x1c10\n11\n00\n")))
+    code, out, err = run_cli(capsys, "analyze", "-m", "2", "--format", "bin")
+    assert (code, out) == (2, "")
+    assert err == "addrseq: line 1: not a bin address: '01\\x1c10'\n"
+
+
+def test_matrix_row_with_a_no_break_space_names_its_line(capsys, tmp_path):
+    # str.rstrip once stripped the no-break space and read the row as 10
+    path = tmp_path / "V.txt"
+    path.write_text("m=2\n10\u00a0\n01\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "gen", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err == "addrseq: line 2: expected 2 characters of 0/1, got '10\\xa0'\n"
+
+
+def test_matrix_row_split_at_a_separator_character_names_its_line(capsys, tmp_path):
+    # this once read as three rows: "expected 2 row lines, found 3"
+    path = tmp_path / "V.txt"
+    path.write_bytes(b"m=2\n1\x1c0\n01\n")
+    code, _, err = run_cli(capsys, "gen", "--matrix", str(path))
+    assert (code, err) == (2, "addrseq: line 2: expected 2 characters of 0/1, got '1\\x1c0'\n")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_every_newline_still_ends_a_line(capsys, monkeypatch, tmp_path, newline):
+    path = tmp_path / "V.txt"
+    path.write_bytes(newline.join(["m=4", *WORKED_ROWS, ""]).encode())
+    code, out, _ = run_cli(capsys, "gen", "--matrix", str(path))
+    assert (code, out_words(out)) == (0, TABLE_UP)
+    text = newline.join(out.splitlines()) + newline
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    code, out, _ = run_cli(capsys, "verify", "-m", "4")
+    assert (code, out.splitlines()[1:3]) == (0, ["length=16", "complete=true"])
 
 
 class _CountingStdout(io.StringIO):
