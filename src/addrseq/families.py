@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import partial
 from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
-from .gf2 import BitsLike, BitVector, GenerationMatrix, as_bitvector, rank_of_words
-from .formats import _ascii_int
+from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, as_bitvector, rank_of_words
+from .formats import _SPACE, _ascii_int
 from .generate import AddressStream
 
 FULLRANK_LIMIT = 0.2887880950866  # limit of prod(1 - 2^-i) as m grows
@@ -282,16 +283,13 @@ def permute_address_bits(stream: AddressStream, perm: Sequence[int]) -> AddressS
     """
     m = stream.m
     perm = _check_perm(perm, m)
-    moves = tuple((k, p - 1) for k, p in enumerate(perm))
-
-    def mapped():
-        for w in stream.words():
-            out = 0
-            for k, s in moves:
-                out |= ((w >> s) & 1) << k
-            yield out
-
-    return AddressStream(m, stream.count, mapped())
+    # input bit s moves to output bit k: a GF(2) linear map, whose row s is 1 << k,
+    # applied to each word by the map's byte tables
+    rows = [0] * m
+    for k, p in enumerate(perm):
+        rows[p - 1] = 1 << k
+    tables = GenerationMatrix(rows, m)._byte_tables()
+    return AddressStream(m, stream.count, map(partial(_combine, tables), stream.words()))
 
 
 class PermutationCount(NamedTuple):
@@ -320,7 +318,7 @@ FAMILY_HELP = (
 def family_matrix(spec: str, m: int, seed: int | None = None) -> GenerationMatrix:
     """Build a family matrix from its CLI name, e.g. ``pow2:2`` or ``random:seed=7``."""
     name, _, arg = spec.partition(":")
-    name = name.strip().lower()
+    name = name.strip(_SPACE).lower()
     try:
         if name == "linear":
             if arg:

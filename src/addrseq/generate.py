@@ -6,7 +6,7 @@ constant XORed onto a linear map of a contiguous counter range:
 
     address(n) = const ^ combine(basis, (start + n) mod 2^m)
 
-and one kernel, `_affine_words`, evaluates that closed form for all of
+and one kernel, `_affine_blocks`, evaluates that closed form for all of
 them.  With ``D`` the difference words of ``V`` (row 1 kept, row i
 replaced by ``V[i-1] ^ V[i]``), the engines map to (basis, const, start):
 
@@ -14,10 +14,13 @@ replaced by ``V[i-1] ^ V[i]``), the engines map to (basis, const, start):
 * recursive(V, a0, b0): ``(D, a0 ^ combine(D, b0), b0)``; the up-run that
   starts at address ``a0`` with counter ``b0`` and XORs in one row per
   step, picked by the gray-code switching index of the counter;
-* shifted(V, L): ``(D, 0, L)``; the zero-initialized up-run rotated by L;
-* down(V, a0, b0): ``(D, a0 ^ combine(D, b0) ^ combine(D, 2^m - 1), -b0)``;
+* shifted(V, L): ``(D, 0, L)``; the zero-initialized up-run rotated by L
+  (its starting address ``combine(D, L)`` cancels the counter start's);
+* down(V, a0, b0): ``(D, a0 ^ combine(D, b0) ^ V[m-1], -b0)``;
   the exact reversal of the up-run, because
-  ``(b0 - 1 - n) mod 2^m = (2^m - 1) XOR ((n - b0) mod 2^m)``;
+  ``(b0 - 1 - n) mod 2^m = (2^m - 1) XOR ((n - b0) mod 2^m)``, and
+  ``combine(D, 2^m - 1)``, the XOR of every difference word, telescopes
+  to the last row ``V[m-1]``;
 * address_at(V, p): ``combine(D, p)``.
 
 The recursive forms rest on ``combine(V, gray(c)) = combine(D, c)``: the
@@ -25,6 +28,13 @@ gray-coded counter selects rows of ``V`` exactly as the plain counter
 selects rows of ``D``.  The library never steps one XOR at a time; that
 hardware model is kept in the tests as the reference the kernel is
 checked against.
+
+A matrix keeps what a run derives from it: its difference basis ``D``
+and, for ``V`` and ``D`` each, ceil(m/8) tables of 256 words, table j
+holding every combination of rows 8j..8j+7.  They are built on the first
+run that needs them, so any later run over the same matrix costs only
+its addresses: ``combine`` is ceil(m/8) lookups, and a run of at most
+256 addresses takes its words straight from table 0.
 
 Every full-length run over a full-rank matrix visits each of the ``2^m``
 addresses exactly once, for any choice of initial address and initial
@@ -34,35 +44,38 @@ counter state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
-from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, _difference_words, as_bitvector
+from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, as_bitvector
 
-_BLOCK_BITS = 12  # the table and each block's list hold at most 2^12 words
+_BLOCK_BITS = 12  # a long run's block table and each of its blocks hold at most 2^12 words
 
 
-def _affine_words(
-    basis: Sequence[int], m: int, const: int, start: int, count: int
-) -> Iterator[int]:
-    """Yield ``const ^ combine(basis, (start + n) mod 2^m)`` for ``n < count``.
+def _affine_blocks(
+    tables: Sequence[Sequence[int]], m: int, const: int, start: int, count: int
+) -> Iterator[list[int]]:
+    """Yield ``const ^ combine(basis, (start + n) mod 2^m)`` for ``n < count``, one list per block.
 
-    A table over the low k counter bits (2^k no larger than `count`
-    needs) is built once; each aligned 2^k block of the counter then
-    costs one row combination for its high bits and one list of XORs.
-    Blocks never straddle the 2^m wrap, because 2^k divides 2^m.
+    `tables` are the basis's 8-bit combine tables.  Each aligned block of
+    the counter costs one row combination for its high bits and one list
+    of XORs over a table of its low bits: table 0 itself for a run that
+    fits in it, else a table of up to 2^12 words built from tables 0 and
+    1 (8-bit blocks drain a long run about 25 % slower).  Blocks never
+    straddle the 2^m wrap, because a block's length divides 2^m.
     """
-    k = min(_BLOCK_BITS, max(count - 1, 0).bit_length())
-    table = [0]
-    for row in basis[:k]:
-        table += [t ^ row for t in table]
-    low_mask = (1 << k) - 1
+    table = tables[0]
+    if count > len(table):
+        size = 1 << min(_BLOCK_BITS, (count - 1).bit_length())
+        table = [high ^ t for high in tables[1][: size // len(table)] for t in table]
+    low_mask = len(table) - 1
     mask = (1 << m) - 1
     c = start & mask
     while count > 0:
         lo = c & low_mask
         take = min(low_mask + 1 - lo, count)
-        high = const ^ _combine(basis, c - lo)
-        yield from [high ^ t for t in table[lo : lo + take]]
+        high = const ^ _combine(tables, c - lo)
+        yield [high ^ t for t in table[lo : lo + take]]
         count -= take
         c = (c + take) & mask
 
@@ -121,7 +134,11 @@ class AddressStream:
         return BitVector(self.m, next(self._word_iter))
 
     def words(self) -> Iterator[int]:
-        yield from self._word_iter
+        return self._word_iter
+
+
+def _stream(tables: Sequence[Sequence[int]], m: int, const: int, start: int, count: int) -> AddressStream:
+    return AddressStream(m, count, chain.from_iterable(_affine_blocks(tables, m, const, start, count)))
 
 
 def generate_direct(matrix: GenerationMatrix, count: int | None = None) -> AddressStream:
@@ -131,8 +148,7 @@ def generate_direct(matrix: GenerationMatrix, count: int | None = None) -> Addre
     the output is the counter itself.
     """
     spec = SequenceSpec(matrix, 0, 0, "up", count)
-    words = _affine_words(matrix.row_words, spec.m, 0, 0, spec.count)
-    return AddressStream(spec.m, spec.count, words)
+    return _stream(matrix._byte_tables(), spec.m, 0, 0, spec.count)
 
 
 def generate_recursive(
@@ -159,7 +175,7 @@ def generate_down(
     """Exact reversal of the corresponding up-run: ``down(n) = up(2^m - 1 - n)``.
 
     Evaluated in closed form over the difference words as
-    ``(D, a0 ^ combine(D, b0) ^ combine(D, 2^m - 1), -b0 mod 2^m)``.
+    ``(D, a0 ^ combine(D, b0) ^ V[m-1], -b0 mod 2^m)``.
     """
     return generate(SequenceSpec(matrix, a0, b0, "down", count))
 
@@ -168,13 +184,13 @@ def address_at(matrix: GenerationMatrix, position: int) -> BitVector:
     """Address at `position` of the zero-initialized recursive run, without iterating.
 
     The recursive run over ``V`` is the direct run over its difference
-    words ``D``, so one O(m) row combination, ``combine(D, position)``,
-    answers any position.
+    words ``D``, so one row combination, ``combine(D, position)``
+    (ceil(m/8) lookups in the matrix's cached tables), answers any position.
     """
     matrix.require_full_rank()
     if not 0 <= position < (1 << matrix.m):
         raise ValueError(f"position must be in 0..2^{matrix.m}-1, got {position}")
-    return BitVector(matrix.m, _combine(_difference_words(matrix.row_words), position))
+    return BitVector(matrix.m, _combine(matrix._difference()._byte_tables(), position))
 
 
 def generate_shifted(matrix: GenerationMatrix, shift: int, count: int | None = None) -> AddressStream:
@@ -182,22 +198,23 @@ def generate_shifted(matrix: GenerationMatrix, shift: int, count: int | None = N
 
     ``shifted(n) = up((n + shift) mod 2^m)``: the up-run with counter
     start `shift` and starting address ``address_at(matrix, shift)``,
-    which the kernel evaluates as ``(D, 0, shift)``.
+    which the kernel evaluates as ``(D, 0, shift)``: the starting
+    address and the row combination of the counter start cancel.
     """
     if not 0 <= shift < (1 << matrix.m):
         raise ValueError(f"shift must be in 0..2^{matrix.m}-1, got {shift}")
-    return generate(SequenceSpec(matrix, address_at(matrix, shift), shift, "up", count))
+    spec = SequenceSpec(matrix, count=count)
+    return _stream(matrix._difference()._byte_tables(), spec.m, 0, shift, spec.count)
 
 
 def generate(spec: SequenceSpec) -> AddressStream:
     """Run the recursive engine a SequenceSpec describes, up or down."""
     m = spec.m
-    diff = _difference_words(spec.matrix.row_words)
+    tables = spec.matrix._difference()._byte_tables()
     b0 = spec.b0.word
-    const = spec.a0.word ^ _combine(diff, b0)
+    const = spec.a0.word ^ _combine(tables, b0)
     if spec.direction == "down":
-        mask = (1 << m) - 1
-        const ^= _combine(diff, mask)
-        b0 = -b0 & mask
-    words = _affine_words(diff, m, const, b0, spec.count)
-    return AddressStream(m, spec.count, words)
+        # combine(D, 2^m - 1) telescopes to the last row of V
+        const ^= spec.matrix.row_words[-1]
+        b0 = -b0 & ((1 << m) - 1)
+    return _stream(tables, m, const, b0, spec.count)

@@ -83,7 +83,7 @@ class BitVector:
     @classmethod
     def from_string(cls, bits: str) -> "BitVector":
         """Parse an MSB-first string of 0s and 1s, e.g. ``"1011"``."""
-        bits = bits.strip()
+        bits = bits.strip(_SPACE)
         if not bits or any(c not in "01" for c in bits):
             raise ValueError(f"not a binary string: {bits!r}")
         return cls(len(bits), int(bits, 2))
@@ -143,10 +143,12 @@ class GenerationMatrix:
 
     Rows are BitVectors of width ``m``; ``rows[0]`` is the first row,
     the one selected by the lowest counter bit.  The GF(2) rank is
-    computed once at construction and cached on the instance.
+    computed once at construction and cached on the instance.  The
+    difference basis and the 8-bit combine tables are built on first use
+    and kept too; they take no part in equality, hashing or ``repr``.
     """
 
-    __slots__ = ("m", "rows", "rank", "_words")
+    __slots__ = ("m", "rows", "rank", "_words", "_diff", "_tables")
 
     def __init__(self, rows: Iterable[BitsLike], m: int | None = None):
         rows = tuple(rows)
@@ -157,7 +159,7 @@ class GenerationMatrix:
             if isinstance(first, BitVector):
                 m = first.width
             elif isinstance(first, str):
-                m = len(first.strip())
+                m = len(first.strip(_SPACE))
             else:
                 m = len(rows)  # plain ints: assume square
         if not 1 <= m <= MAX_WIDTH:
@@ -170,6 +172,8 @@ class GenerationMatrix:
         object.__setattr__(self, "rows", coerced)
         object.__setattr__(self, "_words", words)
         object.__setattr__(self, "rank", rank_of_words(words))
+        object.__setattr__(self, "_diff", None)
+        object.__setattr__(self, "_tables", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GenerationMatrix is immutable")
@@ -182,6 +186,26 @@ class GenerationMatrix:
     def row_words(self) -> tuple[int, ...]:
         """Rows as plain ints, for bulk arithmetic."""
         return self._words
+
+    def _difference(self) -> "GenerationMatrix":
+        # difference_basis(self), built on first use and kept
+        if self._diff is None:
+            diff = tuple(prev ^ w for prev, w in zip((0, *self._words), self._words))
+            object.__setattr__(self, "_diff", GenerationMatrix(diff, self.m))
+        return self._diff
+
+    def _byte_tables(self) -> tuple[list[int], ...]:
+        # table j holds, at index s, the XOR of the rows 8j + i picked by the bits i of
+        # the byte s; built on first use and kept, and never mutated after that
+        if self._tables is None:
+            tables = []
+            for j in range(0, self.m, 8):
+                table = [0]
+                for row in self._words[j : j + 8]:
+                    table += [t ^ row for t in table]
+                tables.append(table)
+            object.__setattr__(self, "_tables", tuple(tables))
+        return self._tables
 
     def require_full_rank(self) -> "GenerationMatrix":
         if self.rank != self.m:
@@ -238,19 +262,13 @@ class GenerationMatrix:
         return f"GenerationMatrix([{', '.join(str(r) for r in self.rows)}])"
 
 
-def _combine(words: Sequence[int], selector: int) -> int:
-    # XOR of words[i] for every set bit i of the selector, lowest bit first
+def _combine(tables: Sequence[Sequence[int]], selector: int) -> int:
+    # XOR of the rows picked by the selector's bits, one byte-table lookup per 8 rows
     acc = 0
-    while selector:
-        low = selector & -selector
-        acc ^= words[low.bit_length() - 1]
-        selector ^= low
+    for table in tables:
+        acc ^= table[selector & 255]
+        selector >>= 8
     return acc
-
-
-def _difference_words(words: Sequence[int]) -> tuple[int, ...]:
-    # adjacent XOR with an implicit zero word above the first
-    return tuple(prev ^ w for prev, w in zip((0, *words), words))
 
 
 def linear_combination(matrix: GenerationMatrix, selector: BitsLike) -> BitVector:
@@ -261,7 +279,7 @@ def linear_combination(matrix: GenerationMatrix, selector: BitsLike) -> BitVecto
     a generated sequence is one such combination.
     """
     sel = as_bitvector(selector, matrix.m).word
-    return BitVector(matrix.m, _combine(matrix.row_words, sel))
+    return BitVector(matrix.m, _combine(matrix._byte_tables(), sel))
 
 
 def cumulative_basis(matrix: GenerationMatrix) -> GenerationMatrix:
@@ -287,4 +305,4 @@ def difference_basis(matrix: GenerationMatrix) -> GenerationMatrix:
     row 1).  Direct evaluation of ``difference_basis(V)`` emits the same
     sequence that a recursive generator loaded with ``V`` produces.
     """
-    return GenerationMatrix(_difference_words(matrix.row_words), matrix.m)
+    return matrix._difference()

@@ -238,6 +238,16 @@ def test_matrix_unknown_family(capsys):
     assert "unknown family" in err
 
 
+@pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\x1c", "\u3000"])
+def test_family_names_strip_only_ascii_whitespace(capsys, space):
+    # a no-break space once stripped like a blank, so this printed the linear run
+    assert run_cli(capsys, "gen", "-m", "2", "--family", f"linear{space}") == (
+        2, "", f"addrseq: unknown family {f'linear{space}'!r} (expected one of "
+        "linear, pow2, complement, limited, gray, quasi, random)\n")
+    code, out, _ = run_cli(capsys, "gen", "-m", "2", "--family", " \tLinear\r\n")
+    assert (code, out) == (0, "00\n01\n10\n11\n")
+
+
 # -- verify / analyze ------------------------------------------------------------------
 
 

@@ -431,6 +431,35 @@ def test_permute_rejects_non_bijections():
         permute_address_bits(counter_stream(3), (1, 1, 2))
 
 
+def permute_reference(words, perm):
+    # the plain loop: output bit k reads input bit perm[k] - 1, one bit at a time
+    moves = tuple((k, p - 1) for k, p in enumerate(perm))
+    out = []
+    for w in words:
+        mapped = 0
+        for k, s in moves:
+            mapped |= ((w >> s) & 1) << k
+        out.append(mapped)
+    return out
+
+
+@st.composite
+def permute_cases(draw):
+    m = draw(st.integers(1, 64))
+    perm = draw(st.permutations(range(1, m + 1)))
+    words = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=40))
+    return m, perm, words
+
+
+@settings(max_examples=200, deadline=None)
+@given(permute_cases())
+def test_permute_matches_the_bit_loop(case):
+    m, perm, words = case
+    out = permute_address_bits(AddressStream(m, len(words), iter(words)), perm)
+    assert (out.m, out.count) == (m, len(words))
+    assert list(out.words()) == permute_reference(words, perm)
+
+
 def test_permutation_count_values():
     assert permutation_count(3).exact == 6
     assert permutation_count(10).exact == 3628800

@@ -229,11 +229,12 @@ def test_full_runs_cover_the_address_space(m):
 @st.composite
 def engine_cases(draw):
     """A matrix, a0, counter starts and a count: full periods up to m = 10, else
-    partial runs whose counters may cross a 2^12 block boundary or the 2^m wrap."""
+    partial runs whose counters may cross a 2^8 or 2^12 block boundary or the 2^m wrap."""
     m = draw(st.integers(1, 64))
     full = 1 << m
     V = random_fullrank_matrix(m, seed=draw(st.integers(0, 2**32)))
-    count = full if m <= 10 else draw(st.integers(1, min(full, 5000)))
+    count = full if m <= 10 else draw(st.sampled_from([
+        draw(st.integers(1, min(full, 5000))), draw(st.integers(1, 256)), 256, 257]))
 
     def counter():
         r = draw(st.integers(1, count))
@@ -241,6 +242,7 @@ def engine_cases(draw):
             r - 1,  # a down-run's counter, -b0, wraps
             full - r,  # an up-run's counter wraps
             (draw(st.integers(1, 1 << 52)) << 12) - r,  # just below a 2^12 block boundary
+            (draw(st.integers(1, 1 << 56)) << 8) - r,  # just below a 2^8 block boundary
         ]
         return draw(st.sampled_from([draw(st.integers(0, full - 1)), *near])) % full
 
@@ -266,6 +268,36 @@ def test_every_engine_matches_the_stepper(case):
     else:
         assert address_at(V, shift).word == shifted[0]
         assert address_at(V, (shift + count - 1) % full).word == shifted[-1]
+
+
+def test_runs_on_one_matrix_do_not_disturb_each_other():
+    # the matrix caches its tables; a run that mutated one would change the next run
+    for m, count in ((6, 40), (32, 256), (64, 200), (40, 5000)):
+        V = random_fullrank_matrix(m, seed=m)
+        full = 1 << m
+        windows = [
+            lambda: generate_recursive(V, 5 % full, full - 3, count),
+            lambda: generate_down(V, 7 % full, 250 % full, count),
+            lambda: generate_shifted(V, (full - 100) % full, count),
+            lambda: generate_direct(V, count),
+        ]
+        first = [run(w()) for w in windows]
+        def tables():
+            return [[list(t) for t in basis._byte_tables()] for basis in (V, difference_basis(V))]
+
+        cached = tables()
+        for w, want in zip(windows, first):
+            assert run(w()) == want
+        # a long run that grew a cached table in place would not change the words
+        assert tables() == cached
+        rows = V.row_words
+        shift = (full - 100) % full
+        assert first == [
+            step_words(rows, m, 5 % full, full - 3, count),
+            step_words(rows, m, 7 % full, 250 % full, count, down=True),
+            step_words(rows, m, gray_address(rows, shift), shift, count),
+            step_words(list(accumulate(rows, xor)), m, count=count),
+        ]
 
 
 # -- SequenceSpec and AddressStream -------------------------------------------------------

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addrseq import (
@@ -8,6 +8,7 @@ from addrseq import (
     RankDeficiencyError,
     cumulative_basis,
     difference_basis,
+    generate_down,
     linear_combination,
     rank_of_words,
 )
@@ -62,6 +63,19 @@ def test_bitvector_is_immutable():
     v = BitVector(4, 3)
     with pytest.raises(AttributeError):
         v.word = 5
+
+
+@pytest.mark.parametrize("text", ["10\u00a0", "\u200710", "1\u00a00", "10\u2028", "\u3000"])
+def test_bit_strings_strip_only_ascii_whitespace(text):
+    with pytest.raises(ValueError, match="not a binary string"):
+        BitVector.from_string(text)
+    with pytest.raises(ValueError):
+        GenerationMatrix([text, "01"])
+
+
+def test_bit_strings_strip_ascii_whitespace():
+    assert BitVector.from_string(" \t10\r\n\x0b\x0c") == BitVector(2, 0b10)
+    assert GenerationMatrix(["10 ", "01"]).row_words == (0b10, 0b01)
 
 
 def test_bitvector_leading_zeros_render():
@@ -187,6 +201,19 @@ def _full_rank_sample(m):
     return random_fullrank_matrix(m, seed=m)
 
 
+@settings(max_examples=200)
+@given(st.integers(1, 64).flatmap(
+    lambda m: st.tuples(st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m),
+                        st.integers(0, (1 << m) - 1))))
+def test_linear_combination_matches_a_row_loop(case):
+    rows, selector = case
+    want = 0
+    for i, row in enumerate(rows):
+        if selector >> i & 1:
+            want ^= row
+    assert linear_combination(GenerationMatrix(rows, len(rows)), selector).word == want
+
+
 def test_linear_combination_rejects_wrong_selector_width(worked_matrix):
     with pytest.raises(ValueError):
         linear_combination(worked_matrix, BitVector(5, 3))
@@ -205,6 +232,22 @@ def test_matrix_requires_square_row_count():
 def test_matrix_rejects_width_over_64():
     with pytest.raises(ValueError):
         GenerationMatrix([0] * 65, m=65)
+
+
+def test_matrix_cache_is_invisible(worked_matrix):
+    # the difference basis and the byte tables fill on first use; equality,
+    # hashing, repr and immutability must not notice
+    V = GenerationMatrix(WORKED_ROWS)
+    before = (V == worked_matrix, hash(V), repr(V), V.rank, V.row_words)
+    assert before[0] and V._diff is None and V._tables is None
+    generate_down(V, 3, 5, count=6)
+    linear_combination(V, 3)
+    assert V._diff is not None and V._tables is not None
+    assert difference_basis(V) is difference_basis(V)
+    assert (V == worked_matrix, hash(V), repr(V), V.rank, V.row_words) == before
+    for name in ("m", "rows", "rank", "_words", "_diff", "_tables", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(V, name, None)
 
 
 def test_matrix_row_order_is_preserved(worked_matrix):
