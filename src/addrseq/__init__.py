@@ -8,129 +8,109 @@ variants, all evaluated in closed form by one kernel, constructors for
 the standard matrix families, random-matrix rank statistics, and an
 analysis suite that verifies completeness, from which balance follows,
 and counts balance outright on request.
+
+Each public name is imported from its submodule on first use, so a
+program (the CLI among them) loads only the modules it runs.
 """
+
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    ActivityReport,
-    Completeness,
-    HammingProfile,
-    IncompleteSequenceError,
-    analyze,
-    bit_balance,
-    check_completeness,
-    format_report,
-    hamming_profile,
-    tuple_balance,
-    verify_complete,
-)
-from .families import (
-    FULLRANK_LIMIT,
-    RANK_DEFICIT_LIMIT,
-    PermutationCount,
-    XorShift64Star,
-    complement_matrix,
-    exhaustive_rank_counts,
-    expected_rank_deficit,
-    family_matrix,
-    fullrank_acceptance_rate,
-    fullrank_probability,
-    graycode_matrix,
-    limited_matrix,
-    linear_matrix,
-    permutation_count,
-    permute_address_bits,
-    power2_matrix,
-    quasirandom_matrix,
-    random_fullrank_matrix,
-    sampled_rank_counts,
-)
-from .formats import FORMATS, SequenceParseError, format_lines, parse_lines
-from .generate import (
-    AddressStream,
-    SequenceSpec,
-    address_at,
-    generate,
-    generate_direct,
-    generate_down,
-    generate_recursive,
-    generate_shifted,
-)
-from .gf2 import (
-    BitVector,
-    GenerationMatrix,
-    RankDeficiencyError,
-    as_bitvector,
-    cumulative_basis,
-    difference_basis,
-    linear_combination,
-    rank_of_words,
-)
-from .gray import (
-    SwitchingStep,
-    gray_value,
-    step_index,
-    switching_index,
-    switching_sequence,
-    wrap_index,
-)
+_EXPORTS = {
+    "analysis": (
+        "ActivityReport",
+        "Completeness",
+        "HammingProfile",
+        "IncompleteSequenceError",
+        "analyze",
+        "bit_balance",
+        "check_completeness",
+        "format_report",
+        "hamming_profile",
+        "tuple_balance",
+        "verify_complete",
+    ),
+    "families": (
+        "FULLRANK_LIMIT",
+        "RANK_DEFICIT_LIMIT",
+        "PermutationCount",
+        "XorShift64Star",
+        "complement_matrix",
+        "exhaustive_rank_counts",
+        "expected_rank_deficit",
+        "family_matrix",
+        "fullrank_acceptance_rate",
+        "fullrank_probability",
+        "graycode_matrix",
+        "limited_matrix",
+        "linear_matrix",
+        "permutation_count",
+        "permute_address_bits",
+        "power2_matrix",
+        "quasirandom_matrix",
+        "random_fullrank_matrix",
+        "sampled_rank_counts",
+    ),
+    "formats": ("FORMATS", "SequenceParseError", "format_lines", "parse_lines"),
+    "generate": (
+        "AddressStream",
+        "SequenceSpec",
+        "address_at",
+        "generate",
+        "generate_direct",
+        "generate_down",
+        "generate_recursive",
+        "generate_shifted",
+    ),
+    "gf2": (
+        "BitVector",
+        "GenerationMatrix",
+        "RankDeficiencyError",
+        "as_bitvector",
+        "cumulative_basis",
+        "difference_basis",
+        "linear_combination",
+        "rank_of_words",
+    ),
+    "gray": (
+        "SwitchingStep",
+        "gray_value",
+        "step_index",
+        "switching_index",
+        "switching_sequence",
+        "wrap_index",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ActivityReport",
-    "AddressStream",
-    "BitVector",
-    "Completeness",
-    "FORMATS",
-    "FULLRANK_LIMIT",
-    "GenerationMatrix",
-    "HammingProfile",
-    "IncompleteSequenceError",
-    "PermutationCount",
-    "RANK_DEFICIT_LIMIT",
-    "RankDeficiencyError",
-    "SequenceParseError",
-    "SequenceSpec",
-    "SwitchingStep",
-    "XorShift64Star",
-    "address_at",
-    "analyze",
-    "as_bitvector",
-    "bit_balance",
-    "check_completeness",
-    "complement_matrix",
-    "cumulative_basis",
-    "difference_basis",
-    "exhaustive_rank_counts",
-    "expected_rank_deficit",
-    "family_matrix",
-    "format_lines",
-    "format_report",
-    "fullrank_acceptance_rate",
-    "fullrank_probability",
-    "generate",
-    "generate_direct",
-    "generate_down",
-    "generate_recursive",
-    "generate_shifted",
-    "gray_value",
-    "graycode_matrix",
-    "hamming_profile",
-    "limited_matrix",
-    "linear_combination",
-    "linear_matrix",
-    "parse_lines",
-    "permutation_count",
-    "permute_address_bits",
-    "power2_matrix",
-    "quasirandom_matrix",
-    "random_fullrank_matrix",
-    "rank_of_words",
-    "sampled_rank_counts",
-    "step_index",
-    "switching_index",
-    "switching_sequence",
-    "tuple_balance",
-    "verify_complete",
-    "wrap_index",
-]
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is not None:
+        value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+        return value
+    if name in _EXPORTS:  # `addrseq.gf2` and the like; the import binds it
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _ORIGIN.keys())
+
+
+_Module = type(sys)
+
+
+class _Package(_Module):
+    def __setattr__(self, name, value):
+        # importing a submodule binds it as a package attribute; `generate`
+        # names the function, so its module of the same name is not bound
+        if not (name == "generate" and isinstance(value, _Module)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

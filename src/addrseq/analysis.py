@@ -27,7 +27,6 @@ import operator
 import sys
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import count, islice, repeat
 from typing import Iterable, NamedTuple
 
@@ -68,8 +67,7 @@ def _bit_counts(words: Iterable[int], m: int) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class Completeness:
+class Completeness(NamedTuple):
     """Outcome of the completeness check, with first-violation diagnostics."""
 
     complete: bool
@@ -189,8 +187,7 @@ def _profile(words: list[int], m: int) -> HammingProfile:
     return HammingProfile(list(map(int.bit_count, diffs)), _bit_counts(diffs, m))
 
 
-@dataclass
-class ActivityReport:
+class ActivityReport(NamedTuple):
     """Aggregate verdict: completeness, implied balance, switching profile."""
 
     m: int

@@ -17,29 +17,20 @@ import sys
 from typing import Iterable, Sequence
 
 from . import __version__
-from .analysis import analyze, format_report
-from .families import (
-    FAMILY_HELP,
-    exhaustive_rank_counts,
-    family_matrix,
-    fullrank_probability,
-    permute_address_bits,
-    sampled_rank_counts,
-)
+
+# formats serves every command (integer options, parsing, writing); each handler
+# imports the rest of what it runs, so a spawn loads no module it does not use
 from .formats import FORMATS, _ascii_int, _split_lines, _text_blocks, parse_lines
-from .generate import (
-    AddressStream,
-    generate_direct,
-    generate_down,
-    generate_recursive,
-    generate_shifted,
-)
-from .gf2 import GenerationMatrix
 
 # verify holds every word, a presence map (a byte per address for a full period,
 # a set of the words for a sparse input) and the 2^m - 1 distances: about 160 MB
 # at m=20, doubling per bit
 DEFAULT_VERIFY_CAP = 28
+
+FAMILY_HELP = (
+    "linear | pow2:J | complement | limited | gray[:P1,P2,...] | quasi | "
+    "random[:SEED | :seed=SEED]"
+)
 
 
 def _int_arg(text: str) -> int:
@@ -118,7 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_matrix(path: str) -> GenerationMatrix:
+def _load_matrix(path: str):
+    from .gf2 import GenerationMatrix
+
     # bytes that are not UTF-8 decode to surrogates, so the bad row names its line
     with open(path, "rb") as fh:
         return GenerationMatrix.from_text(fh.read().decode("utf-8", "surrogateescape"))
@@ -153,6 +146,9 @@ def _write_words(words: Iterable[int], m: int, fmt: str) -> None:
 
 
 def _cmd_gen(args) -> int:
+    from .families import family_matrix
+    from .generate import generate_direct, generate_down, generate_recursive, generate_shifted
+
     if args.matrix:
         matrix = _load_matrix(args.matrix)
         if args.m is not None and args.m != matrix.m:
@@ -182,6 +178,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    from .families import family_matrix
+
     matrix = family_matrix(args.family, args.m, seed=args.seed)
     sys.stdout.write(matrix.to_text())
     if args.check:
@@ -205,6 +203,8 @@ def _cmd_analyze(args) -> int:
 
 def _write_report(args) -> bool:
     """Print the report of the input sequence; True when it passes."""
+    from .analysis import analyze, format_report
+
     words = parse_lines(_read_lines(args.input), args.m, args.format)
     report = analyze(words, args.m, max_r=args.max_r)
     sys.stdout.write(format_report(report))
@@ -220,6 +220,8 @@ def _rank_summary(counts: dict[int, int], m: int) -> tuple[int, int, float, floa
 
 
 def _cmd_rank_stats(args) -> int:
+    from .families import exhaustive_rank_counts, fullrank_probability, sampled_rank_counts
+
     m = args.m
     lines = [f"m={m}", f"analytic_fullrank_probability={fullrank_probability(m):.13f}"]
     if args.exhaustive:
@@ -243,6 +245,9 @@ def _cmd_rank_stats(args) -> int:
 
 
 def _cmd_permute(args) -> int:
+    from .families import permute_address_bits
+    from .generate import AddressStream
+
     try:
         perm = list(map(_ascii_int, args.perm.split(",")))
     except ValueError:

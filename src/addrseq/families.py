@@ -309,11 +309,6 @@ def permutation_count(m: int) -> PermutationCount:
 
 FAMILY_NAMES = ("linear", "pow2", "complement", "limited", "gray", "quasi", "random")
 
-FAMILY_HELP = (
-    "linear | pow2:J | complement | limited | gray[:P1,P2,...] | quasi | "
-    "random[:SEED | :seed=SEED]"
-)
-
 
 def family_matrix(spec: str, m: int, seed: int | None = None) -> GenerationMatrix:
     """Build a family matrix from its CLI name, e.g. ``pow2:2`` or ``random:seed=7``."""

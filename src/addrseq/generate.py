@@ -43,7 +43,6 @@ counter state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -80,7 +79,6 @@ def _affine_blocks(
         c = (c + take) & mask
 
 
-@dataclass(frozen=True)
 class SequenceSpec:
     """A complete generation recipe.
 
@@ -88,13 +86,25 @@ class SequenceSpec:
     engine forward, "down" emits the exact reversal of that up-run.
     `count` defaults to the full period ``2^m``; shorter runs are
     allowed but only complete runs carry the balance properties.
+    A spec is immutable, and compares, hashes and prints by its fields.
     """
 
-    matrix: GenerationMatrix
-    a0: BitsLike = 0
-    b0: BitsLike = 0
-    direction: str = "up"
-    count: int | None = None
+    __slots__ = ("matrix", "a0", "b0", "direction", "count")
+
+    def __init__(
+        self,
+        matrix: GenerationMatrix,
+        a0: BitsLike = 0,
+        b0: BitsLike = 0,
+        direction: str = "up",
+        count: int | None = None,
+    ):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "b0", b0)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "count", count)
+        self.__post_init__()  # a method of its own, so a wrapper can be put on it
 
     def __post_init__(self):
         self.matrix.require_full_rank()
@@ -107,6 +117,30 @@ class SequenceSpec:
         if not 0 <= count <= (1 << m):
             raise ValueError(f"count must be in 0..2^{m}, got {count}")
         object.__setattr__(self, "count", count)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SequenceSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SequenceSpec is immutable")
+
+    def _values(self) -> tuple:
+        return self.matrix, self.a0, self.b0, self.direction, self.count
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy.copy rebuilds through __init__
+        return type(self), self._values()
 
     @property
     def m(self) -> int:

@@ -18,7 +18,7 @@ through `wrap_index`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf2 import BitsLike, BitVector, as_bitvector
 
@@ -76,8 +76,7 @@ def wrap_index(m: int, b0: BitsLike = 0) -> int:
     return step_index(m, b0)
 
 
-@dataclass(frozen=True, slots=True)
-class SwitchingStep:
+class SwitchingStep(NamedTuple):
     """One emitted switching event: step number `n` selected row `index`."""
 
     n: int

@@ -57,6 +57,17 @@ def test_truncated_sequence_is_incomplete():
     assert result.first_missing == BitVector(4, 10)
 
 
+def test_completeness_is_a_frozen_record():
+    result = check_completeness([0, 1, 3, 2], 2)
+    assert result == (True, 2, 4, 4, None, None)
+    assert repr(result) == (
+        "Completeness(complete=True, m=2, length=4, distinct=4, first_duplicate=None, "
+        "first_missing=None)"
+    )
+    with pytest.raises(AttributeError):
+        result.complete = False
+
+
 @pytest.mark.parametrize(
     "words,m",
     [([0.2, 1.9], 1), (["0", "1", "10", "11"], 4)],
@@ -371,6 +382,20 @@ def test_analyze_matches_a_plain_loop_reference(case, max_r):
 
 
 # -- report rendering --------------------------------------------------------------------
+
+
+def test_report_is_immutable_and_ok_follows_completeness():
+    report = analyze([0, 1, 3, 2], 2)
+    assert report.ok and report.complete
+    assert repr(report) == (
+        "ActivityReport(m=2, length=4, complete=True, first_duplicate=None, first_missing=None, "
+        "per_bit_ones=[2, 2], per_bit_transitions=[2, 1], hamming_profile=[1, 1, 1], "
+        "min_distance=1, max_distance=1, mean_distance=1.0, balance_checked=True, balance_r_max=2)"
+    )
+    for field in ("complete", "ok"):
+        with pytest.raises(AttributeError):
+            setattr(report, field, False)
+    assert not analyze([0, 1, 3], 2).ok
 
 
 def test_format_report_stable_keys():

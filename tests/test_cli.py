@@ -484,13 +484,17 @@ def test_gen_csv_of_no_addresses_prints_the_header_alone(capsys):
     assert (code, out, err) == (0, "n,address_dec,address_bin,hamming_to_prev\n", "")
 
 
+def child_env():
+    """The environment of a child interpreter that imports this checkout's addrseq."""
+    src = str(Path(addrseq.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def run_into_a_closed_pipe(argv, stdin=None):
     """Run the CLI with stdout on a real OS pipe whose reader stops after one line,
     like `gen | head -1`; return that line, the exit code and stderr."""
-    src = str(Path(addrseq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.Popen([sys.executable, "-m", "addrseq.cli", *argv], stdin=stdin,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
     first = proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -521,6 +525,42 @@ def test_blocks_larger_than_the_pipe_into_a_closed_pipe_exit_quietly(tmp_path, a
         line, code, err = run_into_a_closed_pipe(argv, stdin)
     assert line == first + b"\n"
     assert (code, err) == (0, b"")
+
+
+# -- start-up ----------------------------------------------------------------------------
+
+# a spawn compiles every addrseq module it imports, and dataclasses pulls in
+# inspect, ast, dis and tokenize; no command needs any of them
+LOADS_NOT = {
+    "gen": {"dataclasses", "inspect", "addrseq.analysis", "addrseq.gray"},
+    "rank-stats": {"dataclasses", "inspect", "addrseq.analysis", "addrseq.gray"},
+    "verify": {"dataclasses", "inspect", "addrseq.families", "addrseq.generate", "addrseq.gray"},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "-m", "17", "--family", "linear", "--count", "1"],
+        ["rank-stats", "-m", "10", "-n", "10"],
+        ["verify", "-m", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_command_imports_only_the_modules_it_runs(argv):
+    child = (
+        "import sys\n"
+        "from addrseq.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stderr.write(f'{code} ' + ' '.join(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child, *argv], env=child_env(),
+                          input="".join(f"{k:04b}\n" for k in range(16)).encode(),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60)
+    code, *modules = proc.stderr.decode().split()
+    assert code == "0"
+    assert "addrseq.cli" in modules
+    assert LOADS_NOT[argv[0]].isdisjoint(modules)
 
 
 # -- rank-stats --------------------------------------------------------------------------

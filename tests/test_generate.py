@@ -1,3 +1,4 @@
+import copy
 from itertools import accumulate
 from operator import xor
 
@@ -320,6 +321,38 @@ def test_spec_validation(worked_matrix):
         SequenceSpec(worked_matrix, a0=BitVector(5, 0))
     with pytest.raises(RankDeficiencyError):
         SequenceSpec(GenerationMatrix(["11", "11"]))
+
+
+def test_spec_is_a_frozen_record(worked_matrix):
+    spec = SequenceSpec(worked_matrix, a0="1000", b0=3)
+    fields = (worked_matrix, BitVector(4, 8), BitVector(4, 3), "up", 16)
+    assert repr(spec) == (
+        "SequenceSpec(matrix=GenerationMatrix([1011, 1000, 0101, 1111]), "
+        "a0=BitVector(4, 0b1000), b0=BitVector(4, 0b0011), direction='up', count=16)"
+    )
+    assert hash(spec) == hash(fields)
+    assert spec == SequenceSpec(GenerationMatrix(["1011", "1000", "0101", "1111"]), 8, "0011", "up", 16)
+    assert spec != SequenceSpec(worked_matrix, a0=8, b0=4)
+    assert spec != fields
+    assert copy.copy(spec) == spec
+    for change in (lambda: setattr(spec, "count", 3), lambda: delattr(spec, "a0")):
+        with pytest.raises(AttributeError):
+            change()
+    assert (spec.a0, spec.count) == (BitVector(4, 8), 16)
+
+
+def test_spec_runs_post_init_through_the_class(worked_matrix, monkeypatch):
+    seen = []
+    post_init = SequenceSpec.__post_init__
+
+    def wrapper(self):
+        seen.append(self.count)  # still the raw argument: coercion runs after
+        post_init(self)
+
+    monkeypatch.setattr(SequenceSpec, "__post_init__", wrapper)
+    generate_recursive(worked_matrix, count=5)
+    SequenceSpec(worked_matrix)
+    assert seen == [5, None]
 
 
 def test_stream_emits_exactly_count_addresses(worked_matrix):

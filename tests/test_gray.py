@@ -154,5 +154,6 @@ def test_nonzero_start_is_a_cyclic_rotation(m, start):
 def test_switching_step_is_a_frozen_record():
     s = SwitchingStep(3, 1)
     assert (s.n, s.index) == (3, 1)
+    assert repr(s) == "SwitchingStep(n=3, index=1)"
     with pytest.raises(AttributeError):
         s.index = 2

@@ -1,6 +1,10 @@
 """The package's public names, pinned so that any change to them is deliberate."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,3 +106,60 @@ def test_benchmark_functions_exist(module, name):
 @pytest.mark.parametrize("module,cls,name", BENCHMARK_METHODS)
 def test_benchmark_methods_exist(module, cls, name):
     assert callable(vars(getattr(importlib.import_module(module), cls))[name])
+
+
+# -- the package imports each name's submodule on first use ------------------------------
+
+
+def run_child(code):
+    """Run `code` in a fresh interpreter that imports this checkout's addrseq."""
+    src = str(Path(addrseq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from addrseq import *", namespace)
+    assert {name: namespace[name] for name in PUBLIC} == {name: getattr(addrseq, name) for name in PUBLIC}
+
+
+def test_unknown_attribute_names_the_package():
+    with pytest.raises(AttributeError, match="'addrseq' has no attribute 'no_such_name'"):
+        addrseq.no_such_name
+
+
+def test_a_fresh_import_loads_no_submodule_yet_lists_and_reaches_them():
+    run_child(
+        "import sys, addrseq\n"
+        "assert [m for m in sys.modules if m.startswith('addrseq.')] == []\n"
+        "assert set(dir(addrseq)) >= set(addrseq.__all__)\n"
+        "assert addrseq.gray is sys.modules['addrseq.gray']\n"
+        "assert addrseq.gray_value is addrseq.gray.gray_value\n"
+    )
+
+
+# importing the submodule addrseq.generate binds the package attribute `generate`,
+# which must stay the function; a fresh interpreter makes that import the first one
+@pytest.mark.parametrize(
+    "first",
+    [
+        "import addrseq.generate",
+        "from addrseq.cli import main; main(['gen', '-m', '3', '--family', 'linear'])",
+    ],
+    ids=["import", "cli-gen"],
+)
+def test_generate_stays_the_function_after_its_module_loads(first):
+    run_child(
+        f"{first}\n"
+        "import sys, addrseq\n"
+        "assert 'addrseq.generate' in sys.modules\n"
+        "assert addrseq.generate is sys.modules['addrseq.generate'].generate\n"
+    )
+
+
+def test_generate_stays_the_function_in_this_process(capsys):
+    importlib.import_module("addrseq.generate")
+    assert importlib.import_module("addrseq.cli").main(["gen", "-m", "3", "--family", "linear"]) == 0
+    assert addrseq.generate is importlib.import_module("addrseq.generate").generate
