@@ -24,12 +24,12 @@ distance profile always equals the sum of the per-bit transitions.
 from __future__ import annotations
 
 import operator
-import sys
 from array import array
 from collections import Counter, deque
 from itertools import count, islice, repeat
 from typing import Iterable, NamedTuple
 
+from .formats import _DIGIT, _packed
 from .gf2 import BitVector
 
 
@@ -46,25 +46,15 @@ def _as_words(seq: Iterable[int], m: int) -> list[int]:
     return words
 
 
-# _LANE_BITS[j] holds every byte value with bit j set
-_LANE_BITS = [bytes(v for v in range(256) if v >> j & 1) for j in range(8)]
-
-
 def _bit_counts(words: Iterable[int], m: int) -> list[int]:
     """Ones per bit position (index 0 is the LSB) of words in 0..2^64 - 1.
 
-    The words are laid out as little-endian 64-bit integers; byte lane k
-    (every 8th byte from k) then holds bits 8k..8k+7 of every word, and the
-    ones of a bit are the lane bytes that translate() does not delete.
+    Byte lane k of the packed words holds bits 8k..8k+7 of every word;
+    translated to the digits of one of its bits, it counts that bit's ones.
     """
-    packed = array("Q", words)
-    if sys.byteorder == "big":
-        packed.byteswap()
-    buf, step = packed.tobytes(), packed.itemsize
-    lanes = [buf[k::step] for k in range((m + 7) // 8)]
-    return [
-        len(packed) - len(lanes[b >> 3].translate(None, _LANE_BITS[b & 7])) for b in range(m)
-    ]
+    buf = _packed(words)
+    lanes = [buf[k::8] for k in range((m + 7) // 8)]
+    return [lanes[b >> 3].translate(_DIGIT[b & 7]).count(b"1") for b in range(m)]
 
 
 class Completeness(NamedTuple):

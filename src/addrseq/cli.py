@@ -20,7 +20,7 @@ from . import __version__
 
 # formats serves every command (integer options, parsing, writing); each handler
 # imports the rest of what it runs, so a spawn loads no module it does not use
-from .formats import FORMATS, _ascii_int, _split_lines, _text_blocks, parse_lines
+from .formats import FORMATS, _ascii_int, _byte_blocks, _split_lines, parse_lines
 
 # verify holds every word, a presence map (a byte per address for a full period,
 # a set of the words for a sparse input) and the 2^m - 1 distances: about 160 MB
@@ -134,10 +134,15 @@ def _read_lines(path: str | None) -> list[str]:
 
 
 def _write_words(words: Iterable[int], m: int, fmt: str) -> None:
-    # one write per formatted block, so a pipe's reader wakes once per block
+    # one write per formatted block, so a pipe's reader wakes once per block; a text
+    # stand-in for stdout has no buffer, so it gets each block decoded
+    out = getattr(sys.stdout, "buffer", None)
     try:
-        for text in _text_blocks(words, m, fmt):
-            sys.stdout.write(text)
+        for block in _byte_blocks(words, m, fmt):
+            if out is None:
+                sys.stdout.write(block.decode())
+            else:
+                out.write(block)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped early (`gen | head`), which is not an error; point
@@ -150,6 +155,8 @@ def _cmd_gen(args) -> int:
     from .generate import generate_direct, generate_down, generate_recursive, generate_shifted
 
     if args.matrix:
+        if args.seed is not None:
+            raise ValueError("--seed is for --family random; a --matrix file takes no seed")
         matrix = _load_matrix(args.matrix)
         if args.m is not None and args.m != matrix.m:
             raise ValueError(f"-m {args.m} conflicts with matrix width {matrix.m}")

@@ -311,10 +311,16 @@ FAMILY_NAMES = ("linear", "pow2", "complement", "limited", "gray", "quasi", "ran
 
 
 def family_matrix(spec: str, m: int, seed: int | None = None) -> GenerationMatrix:
-    """Build a family matrix from its CLI name, e.g. ``pow2:2`` or ``random:seed=7``."""
+    """Build a family matrix from its CLI name, e.g. ``pow2:2`` or ``random:seed=7``.
+
+    `seed` seeds a ``random`` spec that names no seed of its own; a seed
+    given to another family, or given twice, raises ValueError.
+    """
     name, _, arg = spec.partition(":")
     name = name.strip(_SPACE).lower()
     try:
+        if seed is not None and name in FAMILY_NAMES and name != "random":
+            raise ValueError(f"{name} takes no seed; --seed is for the random family")
         if name == "linear":
             if arg:
                 raise ValueError("linear takes no parameter")
@@ -340,6 +346,8 @@ def family_matrix(spec: str, m: int, seed: int | None = None) -> GenerationMatri
             return quasirandom_matrix(m)
         if name == "random":
             if arg:
+                if seed is not None:
+                    raise ValueError("the seed is given twice, in the spec and as --seed")
                 seed = _ascii_int(arg.removeprefix("seed="))
             if seed is None:
                 raise ValueError("random needs a seed, e.g. random:7 (or --seed)")

@@ -24,8 +24,10 @@ output always round-trips.
 Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, in sequence and matrix
 text alike.
 
-Formatting renders a block of words into one string with a single
-``map(format)`` and join; the CLI writes each block with one call.
+Formatting renders a block of words into one bytes object a column at a
+time: bin and hex from the byte lanes of the packed words, dec and csv
+with one ``%`` template per block.  The CLI writes each block with one
+call.
 
 The parser takes the whole input at once: the set of token lengths,
 ``bytes.translate`` character classes, ``map(int)`` and ``max()``.  Only
@@ -35,6 +37,8 @@ error names its line.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter, xor
@@ -78,33 +82,105 @@ def _ascii_int(text: str) -> int:
 
 
 def format_lines(words: Iterable[int], m: int, fmt: str = "bin") -> Iterator[str]:
-    """Render a stream of address words as lines in the requested format."""
-    for text in _text_blocks(words, m, fmt):
-        yield from text.splitlines()
+    """Render a stream of address words as lines in the requested format.
+
+    m is 1..64.  A word that is not an int raises TypeError, and one
+    outside 0..2^m - 1 raises ValueError, rather than print as a wrong
+    line.
+    """
+    for text in _byte_blocks(words, m, fmt):
+        yield from text.decode().splitlines()
 
 
-def _text_blocks(words: Iterable[int], m: int, fmt: str) -> Iterator[str]:
-    """The lines of `words` in `fmt`, as one newline-ended string per block of words.
+def _packed(words: Iterable[int], byteorder: str = "little") -> bytes:
+    """`words` as unsigned 64-bit integers in `byteorder`.
 
-    csv's header comes first, on its own; its row numbers and distances
-    run on across blocks.
+    Little-endian, byte lane k (every 8th byte from k) holds bits
+    8k..8k+7 of every word.  A word that is not an int raises TypeError,
+    and one outside 0..2^64 - 1 raises OverflowError.
+    """
+    packed = array("Q", words)
+    if sys.byteorder != byteorder:
+        packed.byteswap()
+    return packed.tobytes()
+
+
+# _DIGIT[j] translates a byte to the ASCII digit of its bit j, which runs 2^j zeros, 2^j ones
+_DIGIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
+
+
+def _byte_blocks(words: Iterable[int], m: int, fmt: str) -> Iterator[bytes]:
+    """The lines of `words` in `fmt`, as one newline-ended bytes object per block of words.
+
+    Each block is built a column at a time, with no Python call per word:
+    bin translates byte lanes into digit columns, hex slices the digit
+    columns out of one ``hex()`` of the block, and dec and csv fill one
+    ``%`` template per block.  csv's header comes first, on its own; its
+    row numbers and distances run on across blocks.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
+    if not 1 <= m <= 64:
+        raise ValueError(f"m must be in 1..64, got {m}")
+    # the bits at or above m of _BLOCK packed words, to test a block's range with one AND
+    high = int.from_bytes(((1 << 64) - (1 << m)).to_bytes(8, "little") * _BLOCK, "little")
+
+    def pack(block: list[int], byteorder: str = "little") -> bytes:
+        try:
+            buf = _packed(block, byteorder)
+            if not int.from_bytes(buf, byteorder) & high:
+                return buf
+        except OverflowError:
+            pass
+        raise ValueError(f"value out of range for {m} bits")
+
     words = iter(words)
     blocks = iter(lambda: list(islice(words, _BLOCK)), [])
-    if fmt == "csv":
-        yield CSV_HEADER + "\n"
-        row, n, prev = f"{{}},{{}},{{:0{m}b}},{{}}".format, 0, None
+    if fmt == "bin":
         for block in blocks:
-            first = "" if prev is None else (prev ^ block[0]).bit_count()
-            dists = chain((first,), map(int.bit_count, map(xor, block, islice(block, 1, None))))
-            yield "\n".join(map(row, count(n), block, block, dists)) + "\n"
-            n, prev = n + len(block), block[-1]
-        return
-    spec = {"bin": f"0{m}b", "hex": f"0{(m + 3) // 4}x"}.get(fmt)
-    for block in blocks:
-        yield "\n".join(map(format, block, repeat(spec)) if spec else map(str, block)) + "\n"
+            yield _bin_columns(pack(block), len(block), m)
+    elif fmt == "hex":
+        for block in blocks:
+            yield _hex_columns(pack(block, "big"), len(block), (m + 3) // 4)
+    elif fmt == "dec":
+        for block in blocks:
+            pack(block)  # the range check alone
+            yield (b"%d\n" * len(block)) % tuple(block)
+    else:
+        yield CSV_HEADER.encode() + b"\n"
+        row, prev = 0, None
+        for block in blocks:
+            n = len(block)
+            bins = _bin_columns(pack(block), n, m).split(b"\n")
+            before = chain((block[0] if prev is None else prev,), block)
+            dists = map(int.bit_count, map(xor, before, block))
+            text = (b"%d,%d,%s,%d\n" * n) % tuple(
+                chain.from_iterable(zip(range(row, row + n), block, bins, dists))
+            )
+            if prev is None:  # the first row has no distance: drop its 0
+                end = text.index(b"\n")
+                text = text[: end - 1] + text[end:]
+            yield text
+            row, prev = row + n, block[-1]
+
+
+def _bin_columns(buf: bytes, n: int, m: int) -> bytearray:
+    # bit b of every word is one digit column: its byte lane translated, assigned with a stride
+    out = bytearray(n * (m + 1))
+    lanes = [buf[k::8] for k in range((m + 7) // 8)]
+    for b in range(m):
+        out[m - 1 - b :: m + 1] = lanes[b >> 3].translate(_DIGIT[b & 7])
+    out[m :: m + 1] = b"\n" * n
+    return out
+
+
+def _hex_columns(buf: bytes, n: int, d: int) -> bytearray:
+    # big-endian, each word is 16 hex digits; keep the last d of them, a column at a time
+    digits, out = buf.hex().encode(), bytearray(n * (d + 1))
+    for j in range(d):
+        out[j :: d + 1] = digits[16 - d + j :: 16]
+    out[d :: d + 1] = b"\n" * n
+    return out
 
 
 def detect_format(lines: Sequence[str], m: int) -> str:

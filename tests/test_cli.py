@@ -121,6 +121,30 @@ def test_integer_options_take_only_ascii_digits(capsys, argv, text):
     assert f"{text!r} is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,conflict",
+    [
+        (["gen", "-m", "4", "--family", "random:seed=1", "--seed", "2"], "the seed is given twice"),
+        (["gen", "-m", "4", "--family", "linear", "--seed", "3"], "linear takes no seed"),
+        (["matrix", "-m", "4", "--family", "linear", "--seed", "3"], "linear takes no seed"),
+        (["gen", "--matrix", "V.txt", "--seed", "3"], "a --matrix file takes no seed"),
+    ],
+    ids=["gen-seeded-random", "gen-linear", "matrix-linear", "gen-matrix-file"],
+)
+def test_a_seed_that_would_go_unused_exits_2(capsys, worked_file, argv, conflict):
+    # each of these once printed a run that ignored --seed, and exited 0
+    argv = [worked_file if a == "V.txt" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("addrseq: ") and err.count("\n") == 1 and conflict in err
+
+
+def test_seed_still_seeds_a_bare_random_spec(capsys):
+    code, out, _ = run_cli(capsys, "gen", "-m", "4", "--family", "random", "--seed", "1")
+    assert code == 0
+    assert out == run_cli(capsys, "gen", "-m", "4", "--family", "random:1")[1]
+
+
 def test_integer_options_keep_their_range_checks(capsys):
     code, out, err = run_cli(capsys, "gen", "-m", "4", "--family", "linear", "--count", "-1")
     assert (code, out, err) == (2, "", "addrseq: count must be in 0..2^4, got -1\n")

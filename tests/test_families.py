@@ -503,6 +503,14 @@ def test_family_dispatch_random_seed_forms():
     assert a == b == c == random_fullrank_matrix(5, 7)
 
 
+def test_family_dispatch_refuses_a_seed_it_would_not_use():
+    with pytest.raises(ValueError, match="the seed is given twice"):
+        family_matrix("random:seed=7", 5, seed=7)
+    for spec in ("linear", "pow2:2", "gray"):
+        with pytest.raises(ValueError, match="takes no seed"):
+            family_matrix(spec, 5, seed=0)
+
+
 @pytest.mark.parametrize(
     "spec",
     ["nope", "pow2", "pow2:x", "random", "gray:1,1,2,3", "linear:3"],

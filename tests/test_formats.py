@@ -3,11 +3,12 @@ import random
 from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addrseq import FORMATS, SequenceParseError, format_lines, parse_lines
 from addrseq.cli import _write_words
+from addrseq.formats import _BLOCK
 
 import _line_format
 import _line_parser
@@ -39,6 +40,28 @@ def test_csv_lines_carry_hamming_distances():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         list(format_lines(WORDS, 4, "octal"))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("word", [16, -1, 1 << 64], ids=["2^m", "negative", "2^64"])
+def test_words_out_of_range_are_rejected(fmt, word):
+    # format(16, "04b") once printed the 5-character line 10000
+    with pytest.raises(ValueError, match="value out of range for 4 bits"):
+        list(format_lines([3, word], 4, fmt))
+
+
+@pytest.mark.parametrize("m", [0, 65])
+def test_widths_outside_a_word_are_rejected(m):
+    with pytest.raises(ValueError, match=f"m must be in 1..64, got {m}"):
+        list(format_lines([0], m, "bin"))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("word", [1.5, "3"], ids=["float", "str"])
+def test_words_that_are_not_ints_are_rejected(fmt, word):
+    # "%d" would print 1.5 as 1
+    with pytest.raises(TypeError):
+        list(format_lines([3, word], 4, fmt))
 
 
 @pytest.mark.parametrize("fmt", ["bin", "dec", "hex", "csv"])
@@ -221,9 +244,23 @@ def test_bulk_parser_matches_the_line_parser(case):
     assert _outcome(parse_lines, lines, m, fmt) == _outcome(_line_parser.parse, lines, m, fmt)
 
 
-# word counts around the 1024-word block: none, one, a block and one either
+# word counts around the formatter's block: none, one, a block and one either
 # side of it, and three blocks with an odd tail
-_BLOCK_COUNTS = [0, 1, 1023, 1024, 1025, 3 * 1024 + 17]
+_BLOCK_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17]
+
+# widths at the edges of a byte lane and of a word: 1, 8, 9, 16, 63 and 64 bits,
+# in every format, over a block and one word more
+_LANE_EDGES = [
+    (m, fmt, [(1 << m) - 1, 0, *((k * 0x9E3779B97F4A7C15) % (1 << m) for k in range(_BLOCK - 1))])
+    for m in (1, 8, 9, 16, 63, 64)
+    for fmt in FORMATS
+]
+
+
+def _lane_edge_examples(test):
+    for case in _LANE_EDGES:
+        test = example(case)(test)
+    return test
 
 
 @st.composite
@@ -246,6 +283,7 @@ def _word_runs(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(_word_runs())
+@_lane_edge_examples
 def test_block_formatter_matches_the_line_formatter(case):
     m, fmt, words = case
     want = list(_line_format.format_lines(words, m, fmt))
@@ -257,9 +295,28 @@ def test_block_formatter_matches_the_line_formatter(case):
 
 
 def test_csv_rows_run_on_across_blocks():
-    words = [k % 16 for k in range(3 * 1024 + 17)]
+    words = [k % 16 for k in range(3 * _BLOCK + 17)]
     lines = list(format_lines(words, 4, "csv"))
-    # row 1024 opens the second block: its number and distance continue the first block's
-    assert lines[1024:1027] == ["1023,15,1111,1", "1024,0,0000,4", "1025,1,0001,1"]
-    assert lines[-1] == "3088,0,0000,4"
+    # row _BLOCK opens the second block: its number and distance continue the first block's
+    last, first = words[_BLOCK - 1], words[_BLOCK]
+    assert lines[_BLOCK : _BLOCK + 2] == [
+        f"{_BLOCK - 1},{last},{last:04b},{(words[_BLOCK - 2] ^ last).bit_count()}",
+        f"{_BLOCK},{first},{first:04b},{(last ^ first).bit_count()}",
+    ]
+    *_, before, end = words
+    assert lines[-1] == f"{len(words) - 1},{end},{end:04b},{(before ^ end).bit_count()}"
     assert len(lines) == 1 + len(words)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_write_words_gives_the_same_text_with_or_without_a_buffer(fmt):
+    # stdout writes bytes to its buffer; a text-only stand-in gets the blocks decoded
+    words = [(k * 40503) % (1 << 17) for k in range(_BLOCK + 5)]
+    text_only, binary = io.StringIO(), io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    for stream in (text_only, binary):
+        with redirect_stdout(stream):
+            _write_words(iter(words), 17, fmt)
+    assert not hasattr(text_only, "buffer")
+    assert binary.buffer.getvalue().decode() == text_only.getvalue()
+    want = _line_format.format_lines(words, 17, fmt)
+    assert text_only.getvalue() == "".join(line + "\n" for line in want)
