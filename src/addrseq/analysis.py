@@ -24,12 +24,11 @@ distance profile always equals the sum of the per-bit transitions.
 from __future__ import annotations
 
 import operator
-from array import array
 from collections import Counter, deque
 from itertools import count, islice, repeat
 from typing import Iterable, NamedTuple
 
-from .formats import _DIGIT, _packed
+from .formats import _DIGIT, _check_m, _packed
 from .gf2 import BitVector
 
 
@@ -38,6 +37,7 @@ class IncompleteSequenceError(ValueError):
 
 
 def _as_words(seq: Iterable[int], m: int) -> list[int]:
+    _check_m(m)
     # operator.index refuses floats and strings, which int() would truncate or read as decimal
     words = list(map(operator.index, seq))
     if words and (min(words) < 0 or max(words) >> m):
@@ -46,13 +46,12 @@ def _as_words(seq: Iterable[int], m: int) -> list[int]:
     return words
 
 
-def _bit_counts(words: Iterable[int], m: int) -> list[int]:
-    """Ones per bit position (index 0 is the LSB) of words in 0..2^64 - 1.
+def _bit_counts(buf: bytes, m: int) -> list[int]:
+    """Ones per bit position (index 0 is the LSB) of the words `_packed` put in `buf`.
 
     Byte lane k of the packed words holds bits 8k..8k+7 of every word;
     translated to the digits of one of its bits, it counts that bit's ones.
     """
-    buf = _packed(words)
     lanes = [buf[k::8] for k in range((m + 7) // 8)]
     return [lanes[b >> 3].translate(_DIGIT[b & 7]).count(b"1") for b in range(m)]
 
@@ -135,7 +134,7 @@ def bit_balance(words: Iterable[int], m: int) -> list[int]:
     The sequence must be complete, which forces every count to equal
     2^(m-1); the counts are still tallied directly.
     """
-    return _bit_counts(_require_complete(words, m), m)
+    return _bit_counts(_packed(_require_complete(words, m)), m)
 
 
 def tuple_balance(words: Iterable[int], positions: Iterable[int], m: int) -> dict[str, int]:
@@ -173,8 +172,10 @@ def hamming_profile(words: Iterable[int], m: int) -> HammingProfile:
 
 
 def _profile(words: list[int], m: int) -> HammingProfile:
-    diffs = array("Q", map(operator.xor, words, islice(words, 1, None)))
-    return HammingProfile(list(map(int.bit_count, diffs)), _bit_counts(diffs, m))
+    diffs = _packed(map(operator.xor, words, islice(words, 1, None)))
+    # read back in native order: a word's bit count does not depend on its byte order
+    distances = list(map(int.bit_count, memoryview(diffs).cast("Q")))
+    return HammingProfile(distances, _bit_counts(diffs, m))
 
 
 class ActivityReport(NamedTuple):
@@ -216,7 +217,7 @@ def analyze(words: Iterable[int], m: int, max_r: int = 4) -> ActivityReport:
     words = _as_words(words, m)
     comp = _completeness(words, m)
     dist, per_bit_transitions = _profile(words, m)
-    per_bit_ones = _bit_counts(words, m)
+    per_bit_ones = _bit_counts(_packed(words), m)
     return ActivityReport(
         m=m,
         length=len(words),

@@ -67,8 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--engine", choices=("recursive", "direct"), default="recursive")
     gen.add_argument("--down", action="store_true", help="emit the reversed sequence")
     gen.add_argument("--shift", type=_int_arg, help="emit the sequence rotated by L positions")
-    gen.add_argument("--a0", type=_int_flag, default=0, help="initial address (e.g. 0b1000 or 8)")
-    gen.add_argument("--b0", type=_int_flag, default=0, help="initial counter (e.g. 0b0011 or 3)")
+    gen.add_argument("--a0", type=_int_flag, help="initial address (e.g. 0b1000 or 8; default 0)")
+    gen.add_argument("--b0", type=_int_flag, help="initial counter (e.g. 0b0011 or 3; default 0)")
     gen.add_argument("--count", type=_int_arg, help="addresses to emit (default 2^m)")
     gen.add_argument("--format", choices=FORMATS, default="bin")
     gen.add_argument("--seed", type=_int_arg, help="seed for the random family")
@@ -166,9 +166,11 @@ def _cmd_gen(args) -> int:
         matrix = family_matrix(args.family, args.m, seed=args.seed)
     m = matrix.m
 
-    if args.shift is not None and (args.a0 or args.b0 or args.down):
+    # an option given at its default value conflicts all the same
+    start_given = args.a0 is not None or args.b0 is not None
+    if args.shift is not None and (start_given or args.down):
         raise ValueError("--shift computes a0/b0 itself; do not combine with --a0/--b0/--down")
-    if args.engine == "direct" and (args.a0 or args.b0 or args.down or args.shift is not None):
+    if args.engine == "direct" and (start_given or args.down or args.shift is not None):
         raise ValueError("--engine direct runs the plain counter form; use recursive for variants")
 
     if args.engine == "direct":
@@ -176,9 +178,9 @@ def _cmd_gen(args) -> int:
     elif args.shift is not None:
         stream = generate_shifted(matrix, args.shift, args.count)
     elif args.down:
-        stream = generate_down(matrix, args.a0, args.b0, args.count)
+        stream = generate_down(matrix, args.a0 or 0, args.b0 or 0, args.count)
     else:
-        stream = generate_recursive(matrix, args.a0, args.b0, args.count)
+        stream = generate_recursive(matrix, args.a0 or 0, args.b0 or 0, args.count)
 
     _write_words(stream.words(), m, args.format)
     return 0
@@ -218,16 +220,8 @@ def _write_report(args) -> bool:
     return report.ok
 
 
-def _rank_summary(counts: dict[int, int], m: int) -> tuple[int, int, float, float]:
-    """Total, full-rank count, full-rank fraction and mean rank deficit of a census."""
-    total = sum(counts.values())
-    full = counts[m]
-    deficit = sum((m - r) * c for r, c in counts.items()) / total
-    return total, full, full / total, deficit
-
-
 def _cmd_rank_stats(args) -> int:
-    from .families import exhaustive_rank_counts, fullrank_probability, sampled_rank_counts
+    from .families import _rank_summary, exhaustive_rank_counts, fullrank_probability, sampled_rank_counts
 
     m = args.m
     lines = [f"m={m}", f"analytic_fullrank_probability={fullrank_probability(m):.13f}"]

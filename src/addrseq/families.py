@@ -29,18 +29,13 @@ from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, as_bitvector, rank_of_words
-from .formats import _SPACE, _ascii_int
+from .formats import _SPACE, _ascii_int, _check_m
 from .generate import AddressStream
 
 FULLRANK_LIMIT = 0.2887880950866  # limit of prod(1 - 2^-i) as m grows
 RANK_DEFICIT_LIMIT = 0.850179830874
 
 _M64 = (1 << 64) - 1
-
-
-def _check_m(m: int, low: int = 1) -> None:
-    if not low <= m <= 64:
-        raise ValueError(f"m must be in {low}..64, got {m}")
 
 
 def _rotl(word: int, j: int, m: int) -> int:
@@ -240,18 +235,25 @@ def sampled_rank_counts(m: int, samples: int, seed: int = 0) -> dict[int, int]:
     return counts
 
 
+def _rank_summary(counts: dict[int, int], m: int) -> tuple[int, int, float, float]:
+    """Total, full-rank count, full-rank fraction and mean rank deficit of a rank census."""
+    total = sum(counts.values())
+    full = counts[m]
+    deficit = sum((m - r) * c for r, c in counts.items()) / total
+    return total, full, full / total, deficit
+
+
 def expected_rank_deficit(m: int, samples: int, seed: int = 0) -> float:
     """Monte Carlo estimate of E[m - rank] over uniform random matrices.
 
     Approaches 0.850179830874 for large m.
     """
-    counts = sampled_rank_counts(m, samples, seed)
-    return sum((m - r) * c for r, c in counts.items()) / samples
+    return _rank_summary(sampled_rank_counts(m, samples, seed), m)[3]
 
 
 def fullrank_acceptance_rate(m: int, samples: int, seed: int = 0) -> float:
     """Monte Carlo fraction of uniform random matrices that are full rank."""
-    return sampled_rank_counts(m, samples, seed)[m] / samples
+    return _rank_summary(sampled_rank_counts(m, samples, seed), m)[2]
 
 
 def exhaustive_rank_counts(m: int) -> dict[int, int]:

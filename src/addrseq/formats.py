@@ -11,7 +11,9 @@ Four interchangeable formats, one address per line:
 Parsing accepts any of these.  A line is ASCII whitespace around ASCII
 digits: 0/1 for bin, 0-9 for dec, and for hex an optional ``0x`` and hex
 digits.  Signs, underscores and non-ASCII characters make a line bad,
-whatever ``int()`` would make of them.  ``auto`` detection prefers csv
+whatever ``int()`` would make of them.  A csv row's ``address_dec`` must
+equal its ``address_bin``, its ``n`` and ``hamming_to_prev`` are ASCII digits,
+and only row 0 may leave the distance empty.  ``auto`` detection prefers csv
 (header present), then bin (every line is exactly m characters of 0/1).
 Lines that all have exactly ceil(m/4) hex digits read as hex unless they are
 also canonical decimal (no leading zeros); all-digit lines that are not
@@ -41,7 +43,7 @@ import sys
 from array import array
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
-from operator import itemgetter, xor
+from operator import not_, xor
 from typing import Iterable, Iterator, Sequence
 
 FORMATS = ("bin", "dec", "hex", "csv")
@@ -79,6 +81,12 @@ def _ascii_int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{text!r} is not an integer")
     return int(text)
+
+
+def _check_m(m: int, low: int = 1) -> None:
+    """The width rule of every entry point that takes a word width `m`."""
+    if not low <= m <= 64:
+        raise ValueError(f"m must be in {low}..64, got {m}")
 
 
 def format_lines(words: Iterable[int], m: int, fmt: str = "bin") -> Iterator[str]:
@@ -120,8 +128,7 @@ def _byte_blocks(words: Iterable[int], m: int, fmt: str) -> Iterator[bytes]:
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
-    if not 1 <= m <= 64:
-        raise ValueError(f"m must be in 1..64, got {m}")
+    _check_m(m)
     # the bits at or above m of _BLOCK packed words, to test a block's range with one AND
     high = int.from_bytes(((1 << 64) - (1 << m)).to_bytes(8, "little") * _BLOCK, "little")
 
@@ -297,11 +304,23 @@ def _convert(tokens: _Tokens, m: int, fmt: str) -> list[int] | str:
     """
     items = tokens.items
     if fmt == "csv":
-        rows = list(map(str.split, items, repeat(",")))
-        if set(map(len, rows)) - {4}:
+        if set(map(str.count, items, repeat(","))) - {3}:
             return "expected 4 csv columns"
-        words = _convert(_Tokens(list(map(itemgetter(2), rows))), m, "bin")
-        return f"address_bin is not {m} bits" if isinstance(words, str) else words
+        if not items:
+            return []
+        cells = ",".join(items).split(",")
+        ns, decs, bins, dists = (cells[k::4] for k in range(4))
+        words = _convert(_Tokens(bins), m, "bin")
+        if isinstance(words, str):
+            return f"address_bin is not {m} bits"
+        if "" in decs or _convert(_Tokens(decs), m, "dec") != words:
+            return "address_dec does not match address_bin"
+        # only a row numbered 0, the first one written, may leave its distance empty
+        text = "".join(ns) + "".join(dists)
+        no_distance = set(compress(ns, map(not_, dists)))  # the n of each row without one
+        if not (all(ns) and text.isascii() and text.isdigit()) or no_distance - {"0"}:
+            return "n and hamming_to_prev must be ASCII digits"
+        return words
     if fmt == "bin":
         base, ok = 2, tokens.lengths <= {m} and _BIN in tokens.charsets
     elif fmt == "dec":

@@ -46,7 +46,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator, Sequence
 
-from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, as_bitvector
+from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, _Value, as_bitvector
 
 _BLOCK_BITS = 12  # a long run's block table and each of its blocks hold at most 2^12 words
 
@@ -79,7 +79,7 @@ def _affine_blocks(
         c = (c + take) & mask
 
 
-class SequenceSpec:
+class SequenceSpec(_Value):
     """A complete generation recipe.
 
     `direction` describes the emitted order: "up" runs the recursive
@@ -118,29 +118,12 @@ class SequenceSpec:
             raise ValueError(f"count must be in 0..2^{m}, got {count}")
         object.__setattr__(self, "count", count)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SequenceSpec is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SequenceSpec is immutable")
-
-    def _values(self) -> tuple:
+    def _args(self) -> tuple:
         return self.matrix, self.a0, self.b0, self.direction, self.count
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
     def __repr__(self) -> str:
-        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._args()))
         return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):  # copy.copy rebuilds through __init__
-        return type(self), self._values()
 
     @property
     def m(self) -> int:

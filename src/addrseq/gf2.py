@@ -17,7 +17,8 @@ computation works on a scratch copy.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import accumulate, repeat
+from operator import xor
 from typing import Iterable, Iterator, Sequence, Union
 
 from .formats import _SPACE, _split_lines
@@ -64,7 +65,35 @@ def rank_of_words(words: Iterable[int]) -> int:
     return rank
 
 
-class BitVector:
+class _Value:
+    """An immutable value: ``_args()`` gives the constructor arguments of an equal value.
+
+    It compares and hashes by them, and copy and pickle rebuild it through
+    the constructor, whose checks run again.  Constructors store with
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._args() == other._args()
+
+    def __hash__(self) -> int:
+        return hash(self._args())
+
+    def __reduce__(self):
+        return type(self), self._args()
+
+
+class BitVector(_Value):
     """An immutable binary word of fixed width (1..64 bits)."""
 
     __slots__ = ("width", "word")
@@ -77,8 +106,8 @@ class BitVector:
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "word", word)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BitVector is immutable")
+    def _args(self) -> tuple:
+        return self.width, self.word
 
     @classmethod
     def from_string(cls, bits: str) -> "BitVector":
@@ -113,39 +142,27 @@ class BitVector:
     def __repr__(self) -> str:
         return f"BitVector({self.width}, 0b{self})"
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.width == other.width
-            and self.word == other.word
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.word))
-
 
 def as_bitvector(value: BitsLike, width: int) -> BitVector:
     """Coerce an int, 0/1 string, or BitVector to a BitVector of `width`."""
-    if isinstance(value, BitVector):
-        if value.width != width:
-            raise ValueError(f"expected width {width}, got {value.width}")
-        return value
     if isinstance(value, str):
-        v = BitVector.from_string(value)
-        if v.width != width:
-            raise ValueError(f"expected width {width}, got {v.width}")
-        return v
-    return BitVector(width, value)
+        value = BitVector.from_string(value)
+    if not isinstance(value, BitVector):
+        return BitVector(width, value)
+    if value.width != width:
+        raise ValueError(f"expected width {width}, got {value.width}")
+    return value
 
 
-class GenerationMatrix:
+class GenerationMatrix(_Value):
     """An m x m binary matrix whose rows generate an address sequence.
 
     Rows are BitVectors of width ``m``; ``rows[0]`` is the first row,
     the one selected by the lowest counter bit.  The GF(2) rank is
     computed once at construction and cached on the instance.  The
     difference basis and the 8-bit combine tables are built on first use
-    and kept too; they take no part in equality, hashing or ``repr``.
+    and kept too; they take no part in equality, hashing or ``repr``,
+    and a copy starts without them.
     """
 
     __slots__ = ("m", "rows", "rank", "_words", "_diff", "_tables")
@@ -175,8 +192,8 @@ class GenerationMatrix:
         object.__setattr__(self, "_diff", None)
         object.__setattr__(self, "_tables", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GenerationMatrix is immutable")
+    def _args(self) -> tuple:
+        return self._words, self.m
 
     @classmethod
     def identity(cls, m: int) -> "GenerationMatrix":
@@ -248,16 +265,6 @@ class GenerationMatrix:
     def __iter__(self) -> Iterator[BitVector]:
         return iter(self.rows)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GenerationMatrix)
-            and self.m == other.m
-            and self._words == other._words
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self._words))
-
     def __repr__(self) -> str:
         return f"GenerationMatrix([{', '.join(str(r) for r in self.rows)}])"
 
@@ -290,12 +297,7 @@ def cumulative_basis(matrix: GenerationMatrix) -> GenerationMatrix:
     ``cumulative_basis(V)`` emits the same sequence that direct
     evaluation of ``V`` produces.
     """
-    out = []
-    acc = 0
-    for w in matrix.row_words:
-        acc ^= w
-        out.append(acc)
-    return GenerationMatrix((BitVector(matrix.m, w) for w in out), matrix.m)
+    return GenerationMatrix(accumulate(matrix.row_words, xor), matrix.m)
 
 
 def difference_basis(matrix: GenerationMatrix) -> GenerationMatrix:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
+from .formats import _check_m
 from .gf2 import BitsLike, BitVector, as_bitvector
 
 
@@ -29,12 +30,8 @@ def gray_value(n: int) -> int:
 
 
 def _word(value: BitsLike) -> int:
-    if isinstance(value, BitVector):
-        return value.word
-    if isinstance(value, str):
-        return BitVector.from_string(value).word
-    # operator.index refuses floats, which int() would truncate
-    return operator.index(value)
+    # a BitVector is an index too; operator.index refuses floats, which int() would truncate
+    return operator.index(BitVector.from_string(value) if isinstance(value, str) else value)
 
 
 def switching_index(prev_gray: BitsLike, cur_gray: BitsLike) -> int:
@@ -92,8 +89,7 @@ def switching_sequence(m: int, b0: BitsLike = 0, count: int | None = None) -> li
     With ``b0 = 0`` and ``count = 2^m`` the emitted indices are the
     standard reflected-gray switching sequence.
     """
-    if not 1 <= m <= 64:
-        raise ValueError(f"m must be in 1..64, got {m}")
+    _check_m(m)
     full = 1 << m
     if count is None:
         count = full

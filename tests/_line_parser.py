@@ -63,9 +63,14 @@ def parse(lines, m, fmt="auto"):
             parts = ln.split(",")
             if len(parts) != 4:
                 raise SequenceParseError(i, ln, "expected 4 csv columns")
-            bits = parts[2]
+            n, dec, bits, dist = parts
             if len(bits) != m or not set(bits) <= BIN:
                 raise SequenceParseError(i, ln, f"address_bin is not {m} bits")
+            if not (dec and set(dec) <= DEC and int(dec) == int(bits, 2)):
+                raise SequenceParseError(i, ln, "address_dec does not match address_bin")
+            # the distance may be empty on the row numbered 0 only
+            if not (n and set(n) <= DEC and set(dist) <= DEC and (dist or n == "0")):
+                raise SequenceParseError(i, ln, "n and hamming_to_prev must be ASCII digits")
             out.append(int(bits, 2))
         return out
 

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -68,12 +71,8 @@ def test_completeness_is_a_frozen_record():
         result.complete = False
 
 
-@pytest.mark.parametrize(
-    "words,m",
-    [([0.2, 1.9], 1), (["0", "1", "10", "11"], 4)],
-    ids=["floats", "digit-strings"],
-)
-@pytest.mark.parametrize(
+# every entry point that takes a sequence, called as check(words, m)
+ENTRY_POINTS = pytest.mark.parametrize(
     "check",
     [
         check_completeness,
@@ -86,9 +85,27 @@ def test_completeness_is_a_frozen_record():
     ids=["check_completeness", "verify_complete", "bit_balance", "tuple_balance",
          "hamming_profile", "analyze"],
 )
+
+
+@pytest.mark.parametrize(
+    "words,m",
+    [([0.2, 1.9], 1), (["0", "1", "10", "11"], 4)],
+    ids=["floats", "digit-strings"],
+)
+@ENTRY_POINTS
 def test_words_that_are_not_ints_are_rejected(check, words, m):
     # int() once read 0.2 and 1.9 as 0 and 1, and the string "10" as ten
     with pytest.raises(TypeError):
+        check(words, m)
+
+
+@pytest.mark.parametrize("words", [[], [0], [1, 0, 1, 0]], ids=["empty", "one", "four"])
+@pytest.mark.parametrize("m", [0, 65])
+@ENTRY_POINTS
+def test_widths_outside_a_word_are_rejected(check, m, words):
+    # analyze([0], 0) once reported complete=True, and hamming_profile at m=66 read
+    # the next word's low byte as bit 65's transitions
+    with pytest.raises(ValueError, match=re.escape(f"m must be in 1..64, got {m}")):
         check(words, m)
 
 
@@ -396,6 +413,13 @@ def test_report_is_immutable_and_ok_follows_completeness():
         with pytest.raises(AttributeError):
             setattr(report, field, False)
     assert not analyze([0, 1, 3], 2).ok
+
+
+def test_report_with_diagnostics_copies_and_pickles():
+    report = analyze([0, 1, 1], 2)
+    assert (report.first_duplicate, report.first_missing) == (BitVector(2, 1), BitVector(2, 2))
+    for twin in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert twin == report
 
 
 def test_format_report_stable_keys():

@@ -219,6 +219,32 @@ def test_gen_flag_conflicts(capsys, worked_file):
     assert "direct" in err
 
 
+@pytest.mark.parametrize(
+    "flags,conflict",
+    [
+        (["--shift", "3", "--a0", "0"], "--shift"),
+        (["--shift", "3", "--b0", "0"], "--shift"),
+        (["--shift", "0", "--down"], "--shift"),
+        (["--engine", "direct", "--a0", "0"], "direct"),
+        (["--engine", "direct", "--b0", "0b0"], "direct"),
+        (["--engine", "direct", "--down"], "direct"),
+        (["--engine", "direct", "--shift", "0"], "direct"),
+    ],
+    ids=" ".join,
+)
+def test_gen_conflicts_test_presence_not_value(capsys, flags, conflict):
+    # an option given at its default value once went silently unused
+    code, out, err = run_cli(capsys, "gen", "-m", "4", "--family", "linear", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("addrseq: ") and err.count("\n") == 1 and conflict in err
+
+
+def test_gen_start_flags_at_zero_emit_the_default_run(capsys, worked_file):
+    assert run_cli(capsys, "gen", "--matrix", worked_file, "--a0", "0", "--b0", "0b0") == (
+        run_cli(capsys, "gen", "--matrix", worked_file)
+    )
+
+
 def test_gen_requires_exactly_one_source(capsys, worked_file):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "-m", "4", "--family", "linear", "--matrix", worked_file])
@@ -349,6 +375,32 @@ def test_gen_verify_round_trip_every_format(capsys, tmp_path, fmt):
     code, report, _ = run_cli(capsys, "verify", "-m", "4", str(path))
     assert code == 0
     assert "balance_failures=0" in report
+
+
+def test_gen_csv_piped_into_verify_passes(capsys, monkeypatch):
+    assert main(["gen", "-m", "6", "--family", "random:4", "--format", "csv", "--b0", "9"]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    code, out, _ = run_cli(capsys, "verify", "-m", "6")
+    assert code == 0 and "complete=true" in out
+
+
+@pytest.mark.parametrize(
+    "row,reason",
+    [
+        ("foo,bar,0010,", "address_dec does not match address_bin"),
+        ("2,3,0010,1", "address_dec does not match address_bin"),
+        ("x,2,0010,1", "n and hamming_to_prev must be ASCII digits"),
+        ("2,2,0010,", "n and hamming_to_prev must be ASCII digits"),
+    ],
+    ids=["words", "dec", "n", "distance"],
+)
+def test_csv_row_whose_columns_disagree_names_its_line(capsys, monkeypatch, row, reason):
+    lines = list(addrseq.format_lines(range(16), 4, "csv"))
+    lines[3] = row  # the row numbered 2, on line 4
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, err = run_cli(capsys, "verify", "-m", "4")
+    assert (code, out) == (2, "")
+    assert err == f"addrseq: line 4: {reason}: {row!r}\n"
 
 
 @pytest.mark.parametrize(

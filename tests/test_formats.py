@@ -1,5 +1,6 @@
 import io
 import random
+import re
 from contextlib import redirect_stdout
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from addrseq import FORMATS, SequenceParseError, format_lines, parse_lines
 from addrseq.cli import _write_words
-from addrseq.formats import _BLOCK
+from addrseq.formats import _BLOCK, CSV_HEADER
 
 import _line_format
 import _line_parser
@@ -107,6 +108,34 @@ def test_out_of_range_value_rejected():
 def test_csv_column_count_checked():
     with pytest.raises(SequenceParseError):
         parse_lines(["n,address_dec,address_bin,hamming_to_prev", "0,0,0000"], 4, "csv")
+
+
+@pytest.mark.parametrize(
+    "row,reason",
+    [
+        ("foo,bar,00,", "address_dec does not match address_bin"),
+        ("1,,00,1", "address_dec does not match address_bin"),
+        ("1,1,00,1", "address_dec does not match address_bin"),
+        ("1,4,00,1", "address_dec does not match address_bin"),
+        ("+1,0,00,1", "n and hamming_to_prev must be ASCII digits"),
+        ("١,0,00,1", "n and hamming_to_prev must be ASCII digits"),
+        (",0,00,1", "n and hamming_to_prev must be ASCII digits"),
+        ("1,0,00,", "n and hamming_to_prev must be ASCII digits"),
+        ("1,0,00, 1", "n and hamming_to_prev must be ASCII digits"),
+    ],
+)
+def test_csv_columns_beside_the_bits_are_checked(row, reason):
+    # each of these once read as address 0
+    lines = [CSV_HEADER, "0,1,01,", row, "2,2,10,2"]
+    with pytest.raises(SequenceParseError, match=re.escape(reason)) as exc:
+        parse_lines(lines, 2, "auto")
+    assert exc.value.lineno == 3
+
+
+def test_csv_distance_may_be_empty_on_row_0_only():
+    assert parse_lines(["0,3,11,", "1,2,10,1", "0,0,00,"], 2, "csv") == [3, 2, 0]
+    # a leading zero in address_dec still reads as the same value
+    assert parse_lines(["5,003,11,0"], 2, "csv") == [3]
 
 
 def test_auto_detection_reads_zero_padded_hex_as_hex():
@@ -240,6 +269,28 @@ def _outcome(parse, lines, m, fmt):
 @settings(max_examples=500, deadline=None)
 @given(_irregular_inputs())
 def test_bulk_parser_matches_the_line_parser(case):
+    m, fmt, lines = case
+    assert _outcome(parse_lines, lines, m, fmt) == _outcome(_line_parser.parse, lines, m, fmt)
+
+
+@st.composite
+def _csv_inputs(draw):
+    """csv rows, now and then with an n, address_dec or distance that is bad on its own."""
+    m = draw(st.integers(1, 64))
+    rows = []
+    for n in range(draw(st.integers(0, 12))):
+        w = draw(st.integers(0, (1 << m) - 1))
+        num = draw(st.sampled_from([str(n)] * 12 + ["0", "", "-1", "\u0663"]))
+        dec = draw(st.sampled_from([str(w)] * 12 + [f"0{w}", str(w + 1), "", "x"]))
+        dist = draw(st.sampled_from([str(n % 3)] * 12 + ["", "+1", "a"]))
+        rows.append(",".join([num, dec, format(w, f"0{m}b"), dist]))
+    header = draw(st.booleans())
+    return m, "auto" if header and draw(st.booleans()) else "csv", [CSV_HEADER] * header + rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_inputs())
+def test_bulk_parser_checks_csv_columns_like_the_line_parser(case):
     m, fmt, lines = case
     assert _outcome(parse_lines, lines, m, fmt) == _outcome(_line_parser.parse, lines, m, fmt)
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from addrseq import (
     BitVector,
     GenerationMatrix,
     RankDeficiencyError,
+    SequenceSpec,
     cumulative_basis,
     difference_basis,
     generate_down,
@@ -57,12 +61,6 @@ def test_bitvector_xor_and_width_mismatch():
     assert str(a ^ b) == "1110"
     with pytest.raises(ValueError):
         a ^ BitVector.from_string("01011")
-
-
-def test_bitvector_is_immutable():
-    v = BitVector(4, 3)
-    with pytest.raises(AttributeError):
-        v.word = 5
 
 
 @pytest.mark.parametrize("text", ["10\u00a0", "\u200710", "1\u00a00", "10\u2028", "\u3000"])
@@ -236,7 +234,7 @@ def test_matrix_rejects_width_over_64():
 
 def test_matrix_cache_is_invisible(worked_matrix):
     # the difference basis and the byte tables fill on first use; equality,
-    # hashing, repr and immutability must not notice
+    # hashing and repr must not notice
     V = GenerationMatrix(WORKED_ROWS)
     before = (V == worked_matrix, hash(V), repr(V), V.rank, V.row_words)
     assert before[0] and V._diff is None and V._tables is None
@@ -245,9 +243,34 @@ def test_matrix_cache_is_invisible(worked_matrix):
     assert V._diff is not None and V._tables is not None
     assert difference_basis(V) is difference_basis(V)
     assert (V == worked_matrix, hash(V), repr(V), V.rank, V.row_words) == before
-    for name in ("m", "rows", "rank", "_words", "_diff", "_tables", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(V, name, None)
+    # a copy is rebuilt from the rows, so it starts without the caches
+    twin = copy.deepcopy(V)
+    assert twin == V and twin._diff is None and twin._tables is None
+
+
+# -- the immutable values: BitVector, GenerationMatrix, SequenceSpec -------------------
+
+
+VALUES = {
+    "BitVector": lambda: BitVector(4, 0b1011),
+    "GenerationMatrix": lambda: GenerationMatrix(WORKED_ROWS),
+    "SequenceSpec": lambda: SequenceSpec(GenerationMatrix(WORKED_ROWS), "1000", 3, "down", 7),
+}
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES)
+def test_values_copy_by_their_arguments_and_refuse_changes(make):
+    value = make()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin is not value and type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    assert value == make() and value != value._args()
+    for name in (*type(value).__slots__, "extra"):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(value, name)
+    assert value == make()
 
 
 def test_matrix_row_order_is_preserved(worked_matrix):

@@ -108,6 +108,22 @@ def test_benchmark_methods_exist(module, cls, name):
     assert callable(vars(getattr(importlib.import_module(module), cls))[name])
 
 
+# The immutable values take immutability, equality, hashing and copying from one
+# base class, so no class can drift from the others by defining its own.
+VALUE_CLASSES = [("addrseq.gf2", "BitVector"), ("addrseq.gf2", "GenerationMatrix"),
+                 ("addrseq.generate", "SequenceSpec")]
+
+
+@pytest.mark.parametrize("module,cls", VALUE_CLASSES)
+def test_value_classes_inherit_the_value_protocol(module, cls):
+    from addrseq.gf2 import _Value
+
+    value_cls = getattr(importlib.import_module(module), cls)
+    assert value_cls.__bases__ == (_Value,)
+    own = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__reduce__"} & vars(value_cls).keys()
+    assert not own
+
+
 # -- the package imports each name's submodule on first use ------------------------------
 
 
