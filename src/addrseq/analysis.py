@@ -24,7 +24,7 @@ distance profile always equals the sum of the per-bit transitions.
 from __future__ import annotations
 
 import operator
-from collections import Counter, deque
+from collections import deque
 from itertools import count, islice, repeat
 from typing import Iterable, NamedTuple
 
@@ -168,14 +168,14 @@ class HammingProfile(NamedTuple):
 
 def hamming_profile(words: Iterable[int], m: int) -> HammingProfile:
     """Hamming distance between each consecutive pair, plus per-bit flip counts."""
-    return _profile(_as_words(words, m), m)
+    distances, per_bit_transitions = _profile(_as_words(words, m), m)
+    return HammingProfile(list(distances), per_bit_transitions)
 
 
-def _profile(words: list[int], m: int) -> HammingProfile:
+def _profile(words: list[int], m: int) -> tuple[bytes, list[int]]:
     diffs = _packed(map(operator.xor, words, islice(words, 1, None)))
-    # read back in native order: a word's bit count does not depend on its byte order
-    distances = list(map(int.bit_count, memoryview(diffs).cast("Q")))
-    return HammingProfile(distances, _bit_counts(diffs, m))
+    # read back in native order (a bit count does not depend on byte order), a byte per distance
+    return bytes(map(int.bit_count, memoryview(diffs).cast("Q"))), _bit_counts(diffs, m)
 
 
 class ActivityReport(NamedTuple):
@@ -188,7 +188,7 @@ class ActivityReport(NamedTuple):
     first_missing: BitVector | None
     per_bit_ones: list[int]
     per_bit_transitions: list[int]
-    hamming_profile: list[int]
+    hamming_histogram: dict[int, int]
     min_distance: int | None
     max_distance: int | None
     mean_distance: float | None
@@ -216,7 +216,8 @@ def analyze(words: Iterable[int], m: int, max_r: int = 4) -> ActivityReport:
         raise ValueError(f"max_r must be at least 1, got {max_r}")
     words = _as_words(words, m)
     comp = _completeness(words, m)
-    dist, per_bit_transitions = _profile(words, m)
+    distances, per_bit_transitions = _profile(words, m)
+    hist = {d: n for d in range(m + 1) if (n := distances.count(d))}
     per_bit_ones = _bit_counts(_packed(words), m)
     return ActivityReport(
         m=m,
@@ -226,10 +227,10 @@ def analyze(words: Iterable[int], m: int, max_r: int = 4) -> ActivityReport:
         first_missing=comp.first_missing,
         per_bit_ones=per_bit_ones,
         per_bit_transitions=per_bit_transitions,
-        hamming_profile=dist,
-        min_distance=min(dist) if dist else None,
-        max_distance=max(dist) if dist else None,
-        mean_distance=sum(dist) / len(dist) if dist else None,
+        hamming_histogram=hist,
+        min_distance=min(hist) if hist else None,
+        max_distance=max(hist) if hist else None,
+        mean_distance=sum(d * n for d, n in hist.items()) / len(distances) if hist else None,
         balance_checked=comp.complete,
         balance_r_max=min(m, max_r) if comp.complete else 0,
     )
@@ -252,13 +253,12 @@ def format_report(report: ActivityReport) -> str:
         lines.append(f"first_missing={report.first_missing}")
     lines.append("per_bit_ones=" + ",".join(map(str, report.per_bit_ones)))
     lines.append("per_bit_transitions=" + ",".join(map(str, report.per_bit_transitions)))
-    if report.hamming_profile:
-        hist = Counter(report.hamming_profile)
+    if report.hamming_histogram:
         lines.append(f"hamming_min={report.min_distance}")
         lines.append(f"hamming_max={report.max_distance}")
         lines.append(f"hamming_mean={report.mean_distance:.6f}")
         lines.append(
-            "hamming_histogram=" + ",".join(f"{d}:{c}" for d, c in sorted(hist.items()))
+            "hamming_histogram=" + ",".join(f"{d}:{n}" for d, n in report.hamming_histogram.items())
         )
     lines.append(f"balance_checked={'true' if report.balance_checked else 'false'}")
     lines.append(f"balance_r_max={report.balance_r_max}")

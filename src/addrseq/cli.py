@@ -20,11 +20,11 @@ from . import __version__
 
 # formats serves every command (integer options, parsing, writing); each handler
 # imports the rest of what it runs, so a spawn loads no module it does not use
-from .formats import FORMATS, _ascii_int, _byte_blocks, _split_lines, parse_lines
+from .formats import FORMATS, _ascii_int, _byte_blocks, _check_m, _split_lines, parse_lines
 
 # verify holds every word, a presence map (a byte per address for a full period,
-# a set of the words for a sparse input) and the 2^m - 1 distances: about 160 MB
-# at m=20, doubling per bit
+# a set of the words for a sparse input) and a byte per distance: about 160 MB at
+# m=20, doubling per bit
 DEFAULT_VERIFY_CAP = 28
 
 FAMILY_HELP = (
@@ -199,7 +199,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_verify(args) -> int:
     if args.m > args.max_m:
         raise ValueError(
-            f"verify holds all 2^{args.m} words, a presence map and the distances "
+            f"verify holds all 2^{args.m} words, a presence map and a byte per distance "
             f"in memory; raise --max-m beyond {args.max_m} to allow it"
         )
     return 0 if _write_report(args) else 1
@@ -272,11 +272,9 @@ _HANDLERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    m = getattr(args, "m", None)
-    if m is not None and not 1 <= m <= 64:
-        print(f"addrseq: m must be in 1..64, got {m}", file=sys.stderr)
-        return 2
     try:
+        if getattr(args, "m", None) is not None:
+            _check_m(args.m)
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:  # RankDeficiencyError and SequenceParseError too
         print(f"addrseq: {exc}", file=sys.stderr)

@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
-from itertools import product
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, islice, product
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, as_bitvector, rank_of_words
-from .formats import _SPACE, _ascii_int, _check_m
+from .formats import _BLOCK, _SPACE, _ascii_int, _check_m, _pack_in_range
 from .generate import AddressStream
 
 FULLRANK_LIMIT = 0.2887880950866  # limit of prod(1 - 2^-i) as m grows
@@ -281,7 +281,9 @@ def permute_address_bits(stream: AddressStream, perm: Sequence[int]) -> AddressS
 
     A bit permutation maps a valid address sequence to a valid address
     sequence (it is a bijection on words), which is the classic cheap
-    way of multiplying one address order into m! of them.
+    way of multiplying one address order into m! of them.  As the stream
+    is read, a word that is not an int raises TypeError and one outside
+    0..2^m - 1 raises ValueError, as `format_lines` does.
     """
     m = stream.m
     perm = _check_perm(perm, m)
@@ -291,7 +293,16 @@ def permute_address_bits(stream: AddressStream, perm: Sequence[int]) -> AddressS
     for k, p in enumerate(perm):
         rows[p - 1] = 1 << k
     tables = GenerationMatrix(rows, m)._byte_tables()
-    return AddressStream(m, stream.count, map(partial(_combine, tables), stream.words()))
+    words = chain.from_iterable(_checked_blocks(stream.words(), m))
+    return AddressStream(m, stream.count, map(partial(_combine, tables), words))
+
+
+def _checked_blocks(words: Iterable[int], m: int) -> Iterator[list[int]]:
+    # the words as read, a block at a time, each block held to the formatter's word-range rule
+    words = iter(words)
+    for block in iter(lambda: list(islice(words, _BLOCK)), []):
+        _pack_in_range(block, m)
+        yield block
 
 
 class PermutationCount(NamedTuple):

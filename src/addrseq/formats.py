@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import not_, xor
 from typing import Iterable, Iterator, Sequence
@@ -113,6 +113,27 @@ def _packed(words: Iterable[int], byteorder: str = "little") -> bytes:
     return packed.tobytes()
 
 
+@cache
+def _high_bits(m: int) -> int:
+    # the bits at or above m of _BLOCK packed words, in either byte order
+    return int.from_bytes(((1 << 64) - (1 << m)).to_bytes(8, "little") * _BLOCK, "little")
+
+
+def _pack_in_range(block: list[int], m: int, byteorder: str = "little") -> bytes:
+    """`block`, at most _BLOCK words, packed as by `_packed`: the word-range rule.
+
+    A word that is not an int raises TypeError, and one outside
+    0..2^m - 1 raises ValueError; the range is tested with one AND.
+    """
+    try:
+        buf = _packed(block, byteorder)
+        if not int.from_bytes(buf, byteorder) & _high_bits(m):
+            return buf
+    except OverflowError:
+        pass
+    raise ValueError(f"value out of range for {m} bits")
+
+
 # _DIGIT[j] translates a byte to the ASCII digit of its bit j, which runs 2^j zeros, 2^j ones
 _DIGIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 
@@ -129,36 +150,24 @@ def _byte_blocks(words: Iterable[int], m: int, fmt: str) -> Iterator[bytes]:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
     _check_m(m)
-    # the bits at or above m of _BLOCK packed words, to test a block's range with one AND
-    high = int.from_bytes(((1 << 64) - (1 << m)).to_bytes(8, "little") * _BLOCK, "little")
-
-    def pack(block: list[int], byteorder: str = "little") -> bytes:
-        try:
-            buf = _packed(block, byteorder)
-            if not int.from_bytes(buf, byteorder) & high:
-                return buf
-        except OverflowError:
-            pass
-        raise ValueError(f"value out of range for {m} bits")
-
     words = iter(words)
     blocks = iter(lambda: list(islice(words, _BLOCK)), [])
     if fmt == "bin":
         for block in blocks:
-            yield _bin_columns(pack(block), len(block), m)
+            yield _bin_columns(_pack_in_range(block, m), len(block), m)
     elif fmt == "hex":
         for block in blocks:
-            yield _hex_columns(pack(block, "big"), len(block), (m + 3) // 4)
+            yield _hex_columns(_pack_in_range(block, m, "big"), len(block), (m + 3) // 4)
     elif fmt == "dec":
         for block in blocks:
-            pack(block)  # the range check alone
+            _pack_in_range(block, m)  # the range check alone
             yield (b"%d\n" * len(block)) % tuple(block)
     else:
         yield CSV_HEADER.encode() + b"\n"
         row, prev = 0, None
         for block in blocks:
             n = len(block)
-            bins = _bin_columns(pack(block), n, m).split(b"\n")
+            bins = _bin_columns(_pack_in_range(block, m), n, m).split(b"\n")
             before = chain((block[0] if prev is None else prev,), block)
             dists = map(int.bit_count, map(xor, before, block))
             text = (b"%d,%d,%s,%d\n" * n) % tuple(

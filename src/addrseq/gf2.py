@@ -21,7 +21,7 @@ from itertools import accumulate, repeat
 from operator import xor
 from typing import Iterable, Iterator, Sequence, Union
 
-from .formats import _SPACE, _split_lines
+from .formats import _SPACE, _check_m, _split_lines
 
 MAX_WIDTH = 64
 
@@ -99,8 +99,8 @@ class BitVector(_Value):
     __slots__ = ("width", "word")
 
     def __init__(self, width: int, word: int = 0):
-        if not 1 <= width <= MAX_WIDTH:
-            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+        if not 1 <= width <= MAX_WIDTH:  # inline: a BitVector is built per window
+            _check_m(width)
         if word < 0 or word >> width:
             raise ValueError(f"word {word:#x} does not fit in {width} bits")
         object.__setattr__(self, "width", width)
@@ -179,8 +179,7 @@ class GenerationMatrix(_Value):
                 m = len(first.strip(_SPACE))
             else:
                 m = len(rows)  # plain ints: assume square
-        if not 1 <= m <= MAX_WIDTH:
-            raise ValueError(f"matrix size must be in 1..{MAX_WIDTH}, got {m}")
+        _check_m(m)
         coerced = tuple(as_bitvector(r, m) for r in rows)
         if len(coerced) != m:
             raise ValueError(f"expected {m} rows, got {len(coerced)}")

@@ -280,7 +280,8 @@ def test_analyze_worked_column():
     assert report.balance_r_max == 4
     assert report.per_bit_ones == [8, 8, 8, 8]
     assert report.length == 16
-    assert sum(report.hamming_profile) == sum(report.per_bit_transitions)
+    flips = sum(d * n for d, n in report.hamming_histogram.items())
+    assert flips == sum(report.per_bit_transitions)
 
 
 def test_analyze_empty_input():
@@ -303,9 +304,9 @@ def test_analyze_partial_sequence_skips_balance():
     assert not report.complete
     assert not report.balance_checked
     assert report.balance_r_max == 0
-    assert report.hamming_profile == [
-        bin(a ^ b).count("1") for a, b in zip(TABLE_UP, TABLE_UP[1:9])
-    ]
+    distances = [bin(a ^ b).count("1") for a, b in zip(TABLE_UP, TABLE_UP[1:9])]
+    assert hamming_profile(TABLE_UP[:9], 4).distances == distances
+    assert report.hamming_histogram == {d: distances.count(d) for d in sorted(set(distances))}
 
 
 def test_analyze_respects_max_r():
@@ -326,14 +327,16 @@ def test_analyze_is_order_sensitive_in_profile_only():
     rotated = TABLE_UP[5:] + TABLE_UP[:5]
     a, b = analyze(TABLE_UP, 4), analyze(rotated, 4)
     assert a.complete and b.complete
-    assert a.hamming_profile != b.hamming_profile
+    assert a.per_bit_ones == b.per_bit_ones
+    assert hamming_profile(TABLE_UP, 4).distances != hamming_profile(rotated, 4).distances
+    assert a.hamming_histogram != b.hamming_histogram
 
 
 def test_generated_sequences_analyze_clean():
     V = graycode_matrix(5, (3, 1, 5, 2, 4))
     report = analyze(list(generate_recursive(V).words()), 5)
     assert report.ok
-    assert set(report.hamming_profile) == {1}
+    assert report.hamming_histogram == {1: 31}
 
 
 def _reference_report(words, m, max_r):
@@ -347,13 +350,19 @@ def _reference_report(words, m, max_r):
         distances.append(sum(((prev ^ cur) >> b) & 1 for b in range(m)))
         for b in range(m):
             flips[b] += ((prev ^ cur) >> b) & 1
+    histogram = {}
+    for d in sorted(distances):
+        histogram[d] = histogram.get(d, 0) + 1
     _, duplicate, missing = _reference_completeness(words, m)
     complete = len(words) == 1 << m and missing is None
     return {
         "length": len(words),
         "per_bit_ones": ones,
         "per_bit_transitions": flips,
-        "hamming_profile": distances,
+        "hamming_histogram": histogram,
+        "min_distance": min(distances) if distances else None,
+        "max_distance": max(distances) if distances else None,
+        "mean_distance": sum(distances) / len(distances) if distances else None,
         "complete": complete,
         "first_duplicate": duplicate,
         "first_missing": missing,
@@ -391,6 +400,7 @@ def test_analyze_matches_a_plain_loop_reference(case, max_r):
     report = analyze(words, m, max_r=max_r)
     want = _reference_report(words, m, max_r)
     assert {key: getattr(report, key) for key in want} == want
+    assert list(report.hamming_histogram) == list(want["hamming_histogram"])  # keys ascending
     if report.complete:
         # the implication analyze relies on, checked by the direct counter
         for r in range(1, min(m, 4) + 1):
@@ -406,7 +416,7 @@ def test_report_is_immutable_and_ok_follows_completeness():
     assert report.ok and report.complete
     assert repr(report) == (
         "ActivityReport(m=2, length=4, complete=True, first_duplicate=None, first_missing=None, "
-        "per_bit_ones=[2, 2], per_bit_transitions=[2, 1], hamming_profile=[1, 1, 1], "
+        "per_bit_ones=[2, 2], per_bit_transitions=[2, 1], hamming_histogram={1: 3}, "
         "min_distance=1, max_distance=1, mean_distance=1.0, balance_checked=True, balance_r_max=2)"
     )
     for field in ("complete", "ok"):

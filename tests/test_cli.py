@@ -1,6 +1,7 @@
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import addrseq
 from addrseq.cli import main
 
+from _near_miss import near_miss_lines
 from _tables import (
     FAMILY_MATRICES,
     PERMUTED_M3_SWAP31,
@@ -207,7 +209,16 @@ def test_gen_rejects_m_mismatch(capsys, worked_file):
 def test_gen_rejects_wide_m(capsys):
     code, _, err = run_cli(capsys, "gen", "-m", "65", "--family", "linear")
     assert code == 2
-    assert "1..64" in err
+    assert err == "addrseq: m must be in 1..64, got 65\n"
+
+
+def test_gen_matrix_file_wider_than_64_states_the_width_rule(capsys, tmp_path):
+    # the matrix once said "matrix size must be in 1..64", where every other entry point
+    # states the rule as below
+    path = tmp_path / "V.txt"
+    path.write_text("m=65\n" + ("0" * 65 + "\n") * 65)
+    code, out, err = run_cli(capsys, "gen", "--matrix", str(path))
+    assert (code, out, err) == (2, "", "addrseq: m must be in 1..64, got 65\n")
 
 
 def test_gen_flag_conflicts(capsys, worked_file):
@@ -743,12 +754,18 @@ def test_permute_rejects_bad_permutation(capsys, tmp_path):
 
 
 def run_main(argv, stdin=""):
-    """cli.main in process, with in-memory stdio (hypothesis cannot share capsys)."""
+    """cli.main in process, with in-memory stdio (hypothesis cannot share capsys).
+
+    An argparse error exits; its exit code is returned like main's.
+    """
     out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
@@ -846,3 +863,50 @@ def test_cli_matches_the_library(case, auto, max_r, rng, out_fmt):
         stream = addrseq.AddressStream(m, len(words), iter(words))
         permuted = addrseq.permute_address_bits(stream, perm).words()
         assert (code, out, err) == (0, as_text(addrseq.format_lines(permuted, m, out_fmt)), "")
+
+
+# -m texts that are not an integer option, beside it
+_M_NEAR_MISSES = ["", "+4", "-1", "4.0", "0x4", "1_2", " 4", "\u0663", "four"]
+_USAGE_ERROR = re.compile(r"usage: addrseq (verify|analyze) .*\naddrseq \1: error: [^\n]*\n", re.S)
+
+
+@st.composite
+def report_runs(draw):
+    """Flags shared by verify and analyze, verify's --max-m, and the stdin text.
+
+    The input is near-miss lines at most 12 bits wide, so no run reads a
+    long input, whatever its -m.
+    """
+    m_text = draw(st.sampled_from(["0", "1", "12", "64", "65"] * 3 + _M_NEAR_MISSES))
+    flags = ["-m", m_text]
+    fmt = draw(st.sampled_from([None, *addrseq.FORMATS, "auto"]))
+    if fmt is not None:
+        flags += ["--format", fmt]
+    flags += ["--max-r", str(draw(st.sampled_from([-3, 0] + [1, 4] * 3)))]
+    m = int(m_text) if m_text.isdigit() else 12
+    max_m = m + draw(st.sampled_from([-1, 0, 1]))  # below, at or above -m
+    width = m if 1 <= m <= 12 else draw(st.sampled_from([1, 12]))
+    return flags, str(max_m), as_text(draw(near_miss_lines(width)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_runs())
+@example((["-m", "1", "--max-r", "4"], "1", "1\n0\n"))
+@example((["-m", "12", "--format", "dec", "--max-r", "4"], "12", as_text(map(str, range(4096)))))
+def test_verify_and_analyze_keep_the_exit_contract(run):
+    flags, max_m, text = run
+    results = {}
+    for command in ("verify", "analyze"):
+        argv = [command, *flags] + (["--max-m", max_m] if command == "verify" else [])
+        code, out, err = run_main(argv, text)
+        assert code in (0, 1, 2) and (code != 1 or command == "verify")
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+            assert re.fullmatch(r"addrseq: [^\n]*\n", err) or _USAGE_ERROR.fullmatch(err), err
+        else:
+            assert err == "" and out.endswith("balance_failures=0\n")
+            assert code == 0 or "complete=false\n" in out
+        results[command] = code, out
+    if 2 not in (results["verify"][0], results["analyze"][0]):
+        assert results["verify"][1] == results["analyze"][1]

@@ -431,6 +431,20 @@ def test_permute_rejects_non_bijections():
         permute_address_bits(counter_stream(3), (1, 1, 2))
 
 
+@pytest.mark.parametrize("m", [4, 8, 9, 64])
+@pytest.mark.parametrize("word", ["2^m", -1, 1.5])
+def test_permute_refuses_words_outside_m_bits(m, word):
+    # at m=8 word 512 once came out as 0 and -1 as 255; at m=4 word 16 raised IndexError
+    words = [0, 1 << m if word == "2^m" else word, 1]
+    out = permute_address_bits(AddressStream(m, 3, iter(words)), range(1, m + 1))  # lazy
+    if word == 1.5:
+        error, message = TypeError, "cannot be interpreted as an integer"
+    else:
+        error, message = ValueError, f"^value out of range for {m} bits$"
+    with pytest.raises(error, match=message):
+        list(out.words())
+
+
 def permute_reference(words, perm):
     # the plain loop: output bit k reads input bit perm[k] - 1, one bit at a time
     moves = tuple((k, p - 1) for k, p in enumerate(perm))

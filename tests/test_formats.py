@@ -13,6 +13,7 @@ from addrseq.formats import _BLOCK, CSV_HEADER
 
 import _line_format
 import _line_parser
+from _near_miss import near_miss_lines
 from _tables import TABLE_UP
 
 WORDS = [0b0000, 0b1011, 0b0011, 0b1000]
@@ -218,45 +219,12 @@ def test_signs_underscores_and_non_ascii_are_rejected(lines, m, fmt, lineno):
         assert exc.value.lineno == lineno
 
 
-_JUNK = ["+", "-", "_", " ", "\t", "x", "0x", ",", "g", "\xa0", "\u0663", "\udcff", "\u2028"]
-_PAD = st.text(" \t\x0b\x0c", max_size=2)
-
-
 @st.composite
 def _irregular_inputs(draw):
-    """Lines mostly of one shape, with junk, padding, blank lines and CRLF planted in them."""
+    """A width, a format and near-miss lines of that width."""
     m = draw(st.integers(1, 64))
-    top, digits = 1 << m, (m + 3) // 4
-    word = st.one_of(st.integers(0, top - 1), st.sampled_from([0, top - 1, top]))
-
-    def csv_row(w, columns):
-        parts = ["0", str(w), format(w, f"0{m}b"), "1"]
-        return ",".join(parts[:columns] + ["1"] * (columns - 4))
-
-    width = draw(st.integers(1, m + 2))
-    shape = draw(st.sampled_from(["bin", "dec", "hex", "0x", "csv", "digits", "0/1", "width"]))
-    lines = draw(st.lists({
-        "bin": word.map(lambda w: format(w, f"0{m}b")),
-        "dec": word.map(str),
-        "hex": word.map(lambda w: format(w, f"0{digits}x")),
-        "0x": word.map(lambda w: f"0x{w:X}"),
-        "csv": st.builds(csv_row, word, st.sampled_from([4] * 8 + [3, 5])),
-        "digits": st.text("0123456789", min_size=digits, max_size=digits),  # dec and hex at once
-        "0/1": st.text("01", min_size=1, max_size=m + 2),  # mixed widths
-        "width": st.text("01", min_size=width, max_size=width),  # bin of another width
-    }[shape], max_size=12))
-    if shape == "csv" and draw(st.booleans()):
-        lines.insert(0, "n,address_dec,address_bin,hamming_to_prev")
-    junk = draw(st.sampled_from([0, 0, 1, 4]))  # planted junk per 16 lines
-    out = []
-    for ln in lines:
-        if draw(st.integers(0, 15)) < junk:
-            at = draw(st.integers(0, len(ln)))
-            ln = ln[:at] + draw(st.sampled_from(_JUNK)) + ln[at:]
-        out.append(draw(_PAD) + ln + draw(_PAD) + draw(st.sampled_from(["", "", "\r"])))
-        if draw(st.integers(0, 5)) == 0:
-            out.append(draw(_PAD))
-    return m, draw(st.sampled_from(FORMATS + ("auto",))), out
+    lines = draw(near_miss_lines(m))
+    return m, draw(st.sampled_from(FORMATS + ("auto",))), lines
 
 
 def _outcome(parse, lines, m, fmt):

@@ -43,9 +43,9 @@ def test_bitvector_bit_positions_count_from_lsb():
 
 
 def test_bitvector_rejects_bad_widths_and_words():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m must be in 1\.\.64, got 0$"):
         BitVector(0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m must be in 1\.\.64, got 65$"):
         BitVector(65, 0)
     with pytest.raises(ValueError):
         BitVector(4, 16)
@@ -228,7 +228,7 @@ def test_matrix_requires_square_row_count():
 
 
 def test_matrix_rejects_width_over_64():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m must be in 1\.\.64, got 65$"):
         GenerationMatrix([0] * 65, m=65)
 
 
