@@ -28,7 +28,7 @@ from collections import deque
 from itertools import count, islice, repeat
 from typing import Iterable, NamedTuple
 
-from .formats import _DIGIT, _check_m, _packed
+from .formats import _bit_columns, _check_m, _checked_blocks, _packed
 from .gf2 import BitVector
 
 
@@ -36,24 +36,17 @@ class IncompleteSequenceError(ValueError):
     """Balance checks require a complete sequence (see verify_complete)."""
 
 
-def _as_words(seq: Iterable[int], m: int) -> list[int]:
+def _as_words(seq: Iterable[int], m: int) -> tuple[list[int], bytes]:
+    # the words, held to the word-range rule of `_checked_blocks`, and their packed bytes
     _check_m(m)
     # operator.index refuses floats and strings, which int() would truncate or read as decimal
     words = list(map(operator.index, seq))
-    if words and (min(words) < 0 or max(words) >> m):
-        bad = next(w for w in words if not 0 <= w < (1 << m))
-        raise ValueError(f"value {bad} out of range for {m} bits")
-    return words
+    return words, b"".join(buf for _, buf in _checked_blocks(words, m))
 
 
 def _bit_counts(buf: bytes, m: int) -> list[int]:
-    """Ones per bit position (index 0 is the LSB) of the words `_packed` put in `buf`.
-
-    Byte lane k of the packed words holds bits 8k..8k+7 of every word;
-    translated to the digits of one of its bits, it counts that bit's ones.
-    """
-    lanes = [buf[k::8] for k in range((m + 7) // 8)]
-    return [lanes[b >> 3].translate(_DIGIT[b & 7]).count(b"1") for b in range(m)]
+    # ones per bit position (index 0 is the LSB) of the words `_packed` put in `buf`
+    return [column.count(b"1") for column in _bit_columns(buf, m)]
 
 
 class Completeness(NamedTuple):
@@ -75,7 +68,7 @@ def check_completeness(words: Iterable[int], m: int) -> Completeness:
     a set of the words otherwise, so short sequences over wide address
     spaces stay cheap at any m.
     """
-    return _completeness(_as_words(words, m), m)
+    return _completeness(_as_words(words, m)[0], m)
 
 
 def _completeness(words: list[int], m: int) -> Completeness:
@@ -112,8 +105,8 @@ def verify_complete(words: Iterable[int], m: int) -> bool:
     return check_completeness(words, m).complete
 
 
-def _require_complete(seq: Iterable[int], m: int) -> list[int]:
-    words = _as_words(seq, m)
+def _require_complete(seq: Iterable[int], m: int) -> tuple[list[int], bytes]:
+    words, packed = _as_words(seq, m)
     result = _completeness(words, m)
     if not result.complete:
         detail = f"length {result.length} of {1 << m}, {result.distinct} distinct"
@@ -125,7 +118,7 @@ def _require_complete(seq: Iterable[int], m: int) -> list[int]:
             f"sequence fails verify_complete ({detail}); balance is defined "
             "only for complete sequences"
         )
-    return words
+    return words, packed
 
 
 def bit_balance(words: Iterable[int], m: int) -> list[int]:
@@ -134,7 +127,7 @@ def bit_balance(words: Iterable[int], m: int) -> list[int]:
     The sequence must be complete, which forces every count to equal
     2^(m-1); the counts are still tallied directly.
     """
-    return _bit_counts(_packed(_require_complete(words, m)), m)
+    return _bit_counts(_require_complete(words, m)[1], m)
 
 
 def tuple_balance(words: Iterable[int], positions: Iterable[int], m: int) -> dict[str, int]:
@@ -145,7 +138,7 @@ def tuple_balance(words: Iterable[int], positions: Iterable[int], m: int) -> dic
     complete sequence each of the 2^r patterns occurs exactly 2^(m-r)
     times; the counts are tallied by direct extraction.
     """
-    words = _require_complete(words, m)
+    words = _require_complete(words, m)[0]
     pos = sorted(set(map(operator.index, positions)), reverse=True)
     if not pos:
         raise ValueError("positions must be a non-empty set of bit positions")
@@ -168,7 +161,7 @@ class HammingProfile(NamedTuple):
 
 def hamming_profile(words: Iterable[int], m: int) -> HammingProfile:
     """Hamming distance between each consecutive pair, plus per-bit flip counts."""
-    distances, per_bit_transitions = _profile(_as_words(words, m), m)
+    distances, per_bit_transitions = _profile(_as_words(words, m)[0], m)
     return HammingProfile(list(distances), per_bit_transitions)
 
 
@@ -214,11 +207,12 @@ def analyze(words: Iterable[int], m: int, max_r: int = 4) -> ActivityReport:
     """
     if max_r < 1:
         raise ValueError(f"max_r must be at least 1, got {max_r}")
-    words = _as_words(words, m)
+    words, packed = _as_words(words, m)
+    per_bit_ones = _bit_counts(packed, m)
+    del packed  # freed before the profile packs the differences
     comp = _completeness(words, m)
     distances, per_bit_transitions = _profile(words, m)
     hist = {d: n for d in range(m + 1) if (n := distances.count(d))}
-    per_bit_ones = _bit_counts(_packed(words), m)
     return ActivityReport(
         m=m,
         length=len(words),

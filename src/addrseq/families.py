@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
-from itertools import chain, islice, product
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain, product
+from typing import Iterable, NamedTuple, Sequence
 
 from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, as_bitvector, rank_of_words
-from .formats import _BLOCK, _SPACE, _ascii_int, _check_m, _pack_in_range
+from .formats import _SPACE, _ascii_int, _check_m, _checked_blocks
 from .generate import AddressStream
 
 FULLRANK_LIMIT = 0.2887880950866  # limit of prod(1 - 2^-i) as m grows
@@ -293,16 +293,8 @@ def permute_address_bits(stream: AddressStream, perm: Sequence[int]) -> AddressS
     for k, p in enumerate(perm):
         rows[p - 1] = 1 << k
     tables = GenerationMatrix(rows, m)._byte_tables()
-    words = chain.from_iterable(_checked_blocks(stream.words(), m))
+    words = chain.from_iterable(block for block, _ in _checked_blocks(stream.words(), m))
     return AddressStream(m, stream.count, map(partial(_combine, tables), words))
-
-
-def _checked_blocks(words: Iterable[int], m: int) -> Iterator[list[int]]:
-    # the words as read, a block at a time, each block held to the formatter's word-range rule
-    words = iter(words)
-    for block in iter(lambda: list(islice(words, _BLOCK)), []):
-        _pack_in_range(block, m)
-        yield block
 
 
 class PermutationCount(NamedTuple):

@@ -84,8 +84,8 @@ def _ascii_int(text: str) -> int:
 
 
 def _check_m(m: int, low: int = 1) -> None:
-    """The width rule of every entry point that takes a word width `m`."""
-    if not low <= m <= 64:
+    """The width rule of every entry point that takes a word width `m`: an int, not a bool."""
+    if m.__class__ is not int or not low <= m <= 64:
         raise ValueError(f"m must be in {low}..64, got {m}")
 
 
@@ -100,49 +100,64 @@ def format_lines(words: Iterable[int], m: int, fmt: str = "bin") -> Iterator[str
         yield from text.decode().splitlines()
 
 
-def _packed(words: Iterable[int], byteorder: str = "little") -> bytes:
-    """`words` as unsigned 64-bit integers in `byteorder`.
+def _packed(words: Iterable[int]) -> bytes:
+    """`words` as little-endian unsigned 64-bit integers.
 
-    Little-endian, byte lane k (every 8th byte from k) holds bits
-    8k..8k+7 of every word.  A word that is not an int raises TypeError,
-    and one outside 0..2^64 - 1 raises OverflowError.
+    Byte lane k (every 8th byte from k) holds bits 8k..8k+7 of every
+    word.  A word that is not an int raises TypeError, and one outside
+    0..2^64 - 1 raises OverflowError.
     """
     packed = array("Q", words)
-    if sys.byteorder != byteorder:
+    if sys.byteorder != "little":
         packed.byteswap()
     return packed.tobytes()
 
 
 @cache
 def _high_bits(m: int) -> int:
-    # the bits at or above m of _BLOCK packed words, in either byte order
-    return int.from_bytes(((1 << 64) - (1 << m)).to_bytes(8, "little") * _BLOCK, "little")
+    # the bits at or above m of _BLOCK packed words
+    return int.from_bytes(_packed([(1 << 64) - (1 << m)] * _BLOCK), "little")
 
 
-def _pack_in_range(block: list[int], m: int, byteorder: str = "little") -> bytes:
-    """`block`, at most _BLOCK words, packed as by `_packed`: the word-range rule.
+def _checked_blocks(words: Iterable[int], m: int) -> Iterator[tuple[list[int], bytes]]:
+    """`words` in blocks of at most _BLOCK, each with its `_packed` words: the word-range rule.
 
     A word that is not an int raises TypeError, and one outside
-    0..2^m - 1 raises ValueError; the range is tested with one AND.
+    0..2^m - 1 raises ValueError; each block's range is tested with one AND.
     """
-    try:
-        buf = _packed(block, byteorder)
-        if not int.from_bytes(buf, byteorder) & _high_bits(m):
-            return buf
-    except OverflowError:
-        pass
-    raise ValueError(f"value out of range for {m} bits")
+    words = iter(words)
+    while block := list(islice(words, _BLOCK)):
+        try:
+            buf = _packed(block)
+        except OverflowError:
+            buf = None
+        if buf is None or int.from_bytes(buf, "little") & _high_bits(m):
+            raise ValueError(f"value out of range for {m} bits")
+        yield block, buf
 
 
 # _DIGIT[j] translates a byte to the ASCII digit of its bit j, which runs 2^j zeros, 2^j ones
 _DIGIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 
 
+def _bit_columns(buf: bytes, m: int) -> Iterator[bytes]:
+    """Bit b of every word `_packed` put in `buf`, as a column of ASCII digits, for b = 0..m - 1.
+
+    Byte lane k holds bits 8k..8k+7 of every word; translated by _DIGIT,
+    it gives the digits of one of its bits.  One lane and one column are
+    held at a time.
+    """
+    for k in range((m + 7) // 8):
+        lane = buf[k::8]
+        for j in range(min(8, m - 8 * k)):
+            yield lane.translate(_DIGIT[j])
+
+
 def _byte_blocks(words: Iterable[int], m: int, fmt: str) -> Iterator[bytes]:
     """The lines of `words` in `fmt`, as one newline-ended bytes object per block of words.
 
     Each block is built a column at a time, with no Python call per word:
-    bin translates byte lanes into digit columns, hex slices the digit
+    bin places the digit columns of the bits, hex slices the digit
     columns out of one ``hex()`` of the block, and dec and csv fill one
     ``%`` template per block.  csv's header comes first, on its own; its
     row numbers and distances run on across blocks.
@@ -150,24 +165,22 @@ def _byte_blocks(words: Iterable[int], m: int, fmt: str) -> Iterator[bytes]:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
     _check_m(m)
-    words = iter(words)
-    blocks = iter(lambda: list(islice(words, _BLOCK)), [])
+    blocks = _checked_blocks(words, m)
     if fmt == "bin":
-        for block in blocks:
-            yield _bin_columns(_pack_in_range(block, m), len(block), m)
+        for block, buf in blocks:
+            yield _bin_columns(buf, len(block), m)
     elif fmt == "hex":
-        for block in blocks:
-            yield _hex_columns(_pack_in_range(block, m, "big"), len(block), (m + 3) // 4)
+        for block, buf in blocks:
+            yield _hex_columns(buf, len(block), (m + 3) // 4)
     elif fmt == "dec":
-        for block in blocks:
-            _pack_in_range(block, m)  # the range check alone
+        for block, _ in blocks:
             yield (b"%d\n" * len(block)) % tuple(block)
     else:
         yield CSV_HEADER.encode() + b"\n"
         row, prev = 0, None
-        for block in blocks:
+        for block, buf in blocks:
             n = len(block)
-            bins = _bin_columns(_pack_in_range(block, m), n, m).split(b"\n")
+            bins = _bin_columns(buf, n, m).split(b"\n")
             before = chain((block[0] if prev is None else prev,), block)
             dists = map(int.bit_count, map(xor, before, block))
             text = (b"%d,%d,%s,%d\n" * n) % tuple(
@@ -181,20 +194,20 @@ def _byte_blocks(words: Iterable[int], m: int, fmt: str) -> Iterator[bytes]:
 
 
 def _bin_columns(buf: bytes, n: int, m: int) -> bytearray:
-    # bit b of every word is one digit column: its byte lane translated, assigned with a stride
+    # bit b of every word is one digit column, assigned with a stride
     out = bytearray(n * (m + 1))
-    lanes = [buf[k::8] for k in range((m + 7) // 8)]
-    for b in range(m):
-        out[m - 1 - b :: m + 1] = lanes[b >> 3].translate(_DIGIT[b & 7])
+    for b, column in enumerate(_bit_columns(buf, m)):
+        out[m - 1 - b :: m + 1] = column
     out[m :: m + 1] = b"\n" * n
     return out
 
 
 def _hex_columns(buf: bytes, n: int, d: int) -> bytearray:
-    # big-endian, each word is 16 hex digits; keep the last d of them, a column at a time
+    # each word is 16 hex digits, two per byte, high nibble first: nibble p is digit p ^ 1;
+    # column j of d is nibble d - 1 - j
     digits, out = buf.hex().encode(), bytearray(n * (d + 1))
     for j in range(d):
-        out[j :: d + 1] = digits[16 - d + j :: 16]
+        out[j :: d + 1] = digits[(d - 1 - j) ^ 1 :: 16]
     out[d :: d + 1] = b"\n" * n
     return out
 

@@ -99,7 +99,7 @@ class BitVector(_Value):
     __slots__ = ("width", "word")
 
     def __init__(self, width: int, word: int = 0):
-        if not 1 <= width <= MAX_WIDTH:  # inline: a BitVector is built per window
+        if width.__class__ is not int or not 1 <= width <= MAX_WIDTH:  # inline: built per window
             _check_m(width)
         if word < 0 or word >> width:
             raise ValueError(f"word {word:#x} does not fit in {width} bits")

@@ -100,13 +100,24 @@ def test_words_that_are_not_ints_are_rejected(check, words, m):
 
 
 @pytest.mark.parametrize("words", [[], [0], [1, 0, 1, 0]], ids=["empty", "one", "four"])
-@pytest.mark.parametrize("m", [0, 65])
+@pytest.mark.parametrize("m", [0, 65, True, 2.0])
 @ENTRY_POINTS
 def test_widths_outside_a_word_are_rejected(check, m, words):
-    # analyze([0], 0) once reported complete=True, and hamming_profile at m=66 read
-    # the next word's low byte as bit 65's transitions
+    # analyze([0], 0) once reported complete=True, hamming_profile at m=66 read the
+    # next word's low byte as bit 65's transitions, and check_completeness([0, 1], True)
+    # reported a complete sequence with m=True
     with pytest.raises(ValueError, match=re.escape(f"m must be in 1..64, got {m}")):
         check(words, m)
+
+
+@pytest.mark.parametrize("word", ["2^m", "-1"])
+@pytest.mark.parametrize("m", [4, 8, 9, 64])
+@ENTRY_POINTS
+def test_words_outside_m_bits_are_rejected(check, m, word):
+    # the rule and the message of format_lines and permute_address_bits
+    bad = 1 << m if word == "2^m" else -1
+    with pytest.raises(ValueError, match=f"^value out of range for {m} bits$"):
+        check([0, bad, 1], m)
 
 
 def test_completeness_over_wide_space_stays_cheap():

@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 import addrseq
 from addrseq.cli import main
 
+import _line_format
+import _line_parser
 from _near_miss import near_miss_lines
+from _stepper import gray_address, step_words
 from _tables import (
     FAMILY_MATRICES,
     PERMUTED_M3_SWAP31,
@@ -25,6 +28,7 @@ from _tables import (
     TABLE_UP,
     WORKED_ROWS,
 )
+from test_families import permute_reference
 
 WORKED_TEXT = "m=4\n" + "\n".join(WORKED_ROWS) + "\n"
 
@@ -867,7 +871,7 @@ def test_cli_matches_the_library(case, auto, max_r, rng, out_fmt):
 
 # -m texts that are not an integer option, beside it
 _M_NEAR_MISSES = ["", "+4", "-1", "4.0", "0x4", "1_2", " 4", "\u0663", "four"]
-_USAGE_ERROR = re.compile(r"usage: addrseq (verify|analyze) .*\naddrseq \1: error: [^\n]*\n", re.S)
+_USAGE_ERROR = re.compile(r"usage: addrseq (\S+) .*\naddrseq \1: error: [^\n]*\n", re.S)
 
 
 @st.composite
@@ -903,10 +907,148 @@ def test_verify_and_analyze_keep_the_exit_contract(run):
         assert "Traceback" not in err
         if code == 2:
             assert out == ""
-            assert re.fullmatch(r"addrseq: [^\n]*\n", err) or _USAGE_ERROR.fullmatch(err), err
+            usage = _USAGE_ERROR.fullmatch(err)
+            assert re.fullmatch(r"addrseq: [^\n]*\n", err) or (usage and usage[1] == command), err
         else:
             assert err == "" and out.endswith("balance_failures=0\n")
             assert code == 0 or "complete=false\n" in out
         results[command] = code, out
     if 2 not in (results["verify"][0], results["analyze"][0]):
         assert results["verify"][1] == results["analyze"][1]
+
+
+# texts beside the integer options: --a0/--b0 take a 0b/0o/0x prefix, the others do not
+_INT_NEAR_MISSES = ["", "+1", "-1", "1_0", " 1", "1.0", "0b2", "0X1", "\u0661"]
+_BAD_FAMILIES = ["pow2:99", "gray:1,1", "linear:3", "random:x", "nosuch"]
+
+
+def _direct_words(rows, count):
+    # the plain counter form: address n XORs in the rows picked by the bits of n
+    out = []
+    for n in range(count):
+        acc = 0
+        for i, row in enumerate(rows):
+            if n >> i & 1:
+                acc ^= row
+        out.append(acc)
+    return out
+
+
+@st.composite
+def gen_runs(draw):
+    """gen flags on both sides of each rule gen applies, and the output a valid run prints.
+
+    A run draws an up, down, shifted or direct variant, and at most one
+    fault: a bad value, or an option that conflicts with the variant.
+    The output is None for a run that must be refused.  A run that prints
+    words stays at m <= 12 or --count <= 200.
+    """
+    sites = ["m", "family", "seed", "engine", "down", "shift", "start", "count"]
+    fault = draw(st.sampled_from([None] * len(sites) + sites))
+
+    def pick(site, good, bad):
+        return draw(st.sampled_from(bad if fault == site else good))
+
+    m_text = pick("m", ["1", "12", "64"], ["0", "65"] + _M_NEAR_MISSES)
+    m = int(m_text) if m_text in ("1", "12", "64") else 12
+    full = 1 << m
+    families, limited = ["linear", "pow2", "complement", "gray", "quasi", "random"], ["limited"]
+    family = pick("family", families + limited * (m >= 2), _BAD_FAMILIES + limited * (m < 2))
+    if family == "pow2":
+        family = f"pow2:{draw(st.integers(0, m - 1))}"
+    elif family == "gray" and draw(st.booleans()):
+        family = "gray:" + ",".join(map(str, draw(st.permutations(range(1, m + 1)))))
+    elif family == "random" and draw(st.booleans()):
+        family = f"random:{draw(st.integers(0, 10**6))}"
+    # a bare random family takes --seed, and no other family does
+    seed = 7 if family == "random" else None
+    seed = pick("seed", [seed], [7 if seed is None else None])
+
+    variant = draw(st.sampled_from(["up", "down", "shift", "direct"]))
+    engine = "direct" if variant == "direct" else pick("engine", [None, "recursive"], ["direct"])
+    down = variant == "down" or pick("down", [False], [True])
+    good_shifts, bad_shifts = ["0", str(full - 1)], [str(full), "-1", "+1"]
+    if variant == "shift":
+        shift = pick("shift", good_shifts, bad_shifts)
+    else:
+        shift = pick("shift", [None], good_shifts)
+    good_starts, bad_starts = ["0", str(full - 1), hex(full - 1)], [str(full)] + _INT_NEAR_MISSES
+    if variant in ("up", "down"):
+        a0, b0 = (pick("start", [None] + good_starts, bad_starts) for _ in "ab")
+    else:
+        a0, b0 = (pick("start", [None], good_starts) for _ in "ab")
+    counts = ["0", "1", str(min(200, full))] + [None] * (m <= 12)
+    count = pick("count", counts, [str(full + 1), "-1", "+3"])
+    fmt = draw(st.sampled_from([None, *addrseq.FORMATS]))
+
+    argv = ["gen", "-m", m_text, "--family", family]
+    for flag, value in [("--engine", engine), ("--shift", shift), ("--a0", a0), ("--b0", b0),
+                        ("--count", count), ("--format", fmt), ("--seed", seed)]:
+        if value is not None:
+            argv += [flag, str(value)]
+    argv += ["--down"] * down
+
+    valid = m_text in ("1", "12", "64")
+    valid &= family not in _BAD_FAMILIES and (m >= 2 or family != "limited")
+    valid &= (seed is not None) == (family == "random")
+    valid &= shift in (None, *good_shifts) and {a0, b0} <= {None, *good_starts}
+    valid &= count in counts
+    start_given = a0 is not None or b0 is not None
+    valid &= shift is None or not (start_given or down)
+    valid &= engine != "direct" or not (start_given or down or shift is not None)
+    if not valid:
+        return argv, "", None
+    rows = addrseq.family_matrix(family, m, seed=seed).row_words
+    n = full if count is None else int(count)
+    if engine == "direct":
+        words = _direct_words(rows, n)
+    elif shift is not None:
+        words = [gray_address(rows, (int(shift) + k) % full) for k in range(n)]
+    else:
+        words = step_words(rows, m, int(a0 or "0", 0), int(b0 or "0", 0), n, down)
+    return argv, "", as_text(_line_format.format_lines(words, m, fmt or "bin"))
+
+
+@st.composite
+def permute_runs(draw):
+    """permute flags and stdin, valid or near misses, and the output a valid run prints."""
+    m = draw(st.integers(1, 12))
+    perm = draw(st.permutations(range(1, m + 1)))
+    kind = draw(st.sampled_from(["valid"] * 5 + ["repeat", "range", "text"]))
+    if kind == "repeat":
+        perm = perm[:-1] + perm[:1] if m > 1 else [1, 1]
+    elif kind == "range":
+        perm[draw(st.integers(0, m - 1))] = draw(st.sampled_from([0, -1, m + 1]))
+    perm_text = ",".join(map(str, perm))
+    if kind == "text":
+        perm_text = draw(st.sampled_from(["", "1,", ",1", "1;2", "1 2"] + _INT_NEAR_MISSES))
+    in_fmt = draw(st.sampled_from([None, *addrseq.FORMATS, "auto"]))
+    fmt = draw(st.sampled_from([None, *addrseq.FORMATS]))
+    lines = draw(near_miss_lines(m))
+    argv = ["permute", "-m", str(m), "--perm", perm_text]
+    argv += ["--in-format", in_fmt] * (in_fmt is not None) + ["--format", fmt] * (fmt is not None)
+    try:
+        words = _line_parser.parse(lines, m, in_fmt or "auto")
+    except addrseq.SequenceParseError:
+        words = None
+    if kind != "valid" or words is None:
+        return argv, as_text(lines), None
+    expected = _line_format.format_lines(permute_reference(words, perm), m, fmt or "bin")
+    return argv, as_text(lines), as_text(expected)
+
+
+@pytest.mark.parametrize("runs", [gen_runs(), permute_runs()], ids=["gen", "permute"])
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_gen_and_permute_keep_the_exit_contract(runs, data):
+    # a valid run prints the reference's lines and nothing else; any other run is
+    # refused with exit 2, no output and one message or argparse's usage
+    argv, stdin, expected = data.draw(runs)
+    code, out, err = run_main(argv, stdin)
+    if expected is None:
+        assert (code, out) == (2, ""), (code, out[:200], err)
+        usage = _USAGE_ERROR.fullmatch(err)
+        assert re.fullmatch(r"addrseq: [^\n]*\n", err) or (usage and usage[1] == argv[0]), err
+    else:
+        assert (code, err) == (0, "")
+        assert out == expected

@@ -52,7 +52,7 @@ def test_words_out_of_range_are_rejected(fmt, word):
         list(format_lines([3, word], 4, fmt))
 
 
-@pytest.mark.parametrize("m", [0, 65])
+@pytest.mark.parametrize("m", [0, 65, True, 2.0])
 def test_widths_outside_a_word_are_rejected(m):
     with pytest.raises(ValueError, match=f"m must be in 1..64, got {m}"):
         list(format_lines([0], m, "bin"))

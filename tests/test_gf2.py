@@ -47,6 +47,11 @@ def test_bitvector_rejects_bad_widths_and_words():
         BitVector(0, 0)
     with pytest.raises(ValueError, match=r"^m must be in 1\.\.64, got 65$"):
         BitVector(65, 0)
+    # a width that is not an int once failed late, at the word's shift
+    with pytest.raises(ValueError, match=r"^m must be in 1\.\.64, got True$"):
+        BitVector(True, 0)
+    with pytest.raises(ValueError, match=r"^m must be in 1\.\.64, got 2\.0$"):
+        BitVector(2.0, 1)
     with pytest.raises(ValueError):
         BitVector(4, 16)
     with pytest.raises(ValueError):
@@ -230,6 +235,10 @@ def test_matrix_requires_square_row_count():
 def test_matrix_rejects_width_over_64():
     with pytest.raises(ValueError, match=r"^m must be in 1\.\.64, got 65$"):
         GenerationMatrix([0] * 65, m=65)
+    with pytest.raises(ValueError, match=r"^m must be in 1\.\.64, got 2\.0$"):
+        GenerationMatrix([1, 2], m=2.0)
+    with pytest.raises(ValueError, match=r"^m must be in 1\.\.64, got True$"):
+        GenerationMatrix([1], m=True)
 
 
 def test_matrix_cache_is_invisible(worked_matrix):
