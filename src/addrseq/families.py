@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import partial
-from itertools import chain, product
+from functools import cache, partial
+from itertools import chain, product, repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, as_bitvector, rank_of_words
-from .formats import _SPACE, _ascii_int, _check_m, _checked_blocks
+from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, _tables_of, as_bitvector, rank_of_words
+from .formats import _SPACE, _ascii_int, _check_m, _checked_blocks, _packed
 from .generate import AddressStream
 
 FULLRANK_LIMIT = 0.2887880950866  # limit of prod(1 - 2^-i) as m grows
@@ -157,7 +157,9 @@ class XorShift64Star:
     right 30, times 0xBF58476D1CE4E5B9; right 27, times
     0x94D049BB133111EB; right 31), or 0x9E3779B97F4A7C15 if that is 0.
     Each draw steps the state ``x ^= x >> 12; x ^= x << 25; x ^= x >> 27``
-    (mod 2^64) and returns ``x * 0x2545F4914F6CDD1D mod 2^64``.
+    (mod 2^64) and returns ``x * 0x2545F4914F6CDD1D mod 2^64``.  The step
+    is a GF(2)-linear map T of the 64-bit state, so a jump of L draws is
+    the map T^L.
     """
 
     def __init__(self, seed: int = 0):
@@ -218,21 +220,107 @@ def fullrank_probability(m: int) -> float:
     return p
 
 
+_LANES = 1024  # matrices drawn and ranked per big-int operation
+
+
 def sampled_rank_counts(m: int, samples: int, seed: int = 0) -> dict[int, int]:
     """Monte Carlo census of ranks over `samples` uniform random matrices.
 
     Each matrix is drawn (its rows are the low m bits of consecutive
     xorshift64* draws, as in `random_fullrank_matrix`) and ranked once.
     Returns the count of each rank 0..m, like `exhaustive_rank_counts`.
+
+    The draw stream is cut into 1024 lane streams of ``samples // 1024``
+    matrices each, and the ``samples % 1024`` left over into one more
+    batch of one matrix per lane.  Each lane starts where the one before
+    it ends, reached by jump-ahead, and every big-int operation steps or
+    eliminates a whole batch.  The census does not depend on the order
+    of the samples, so it equals that of drawing and ranking the
+    matrices one by one.
     """
     _check_m(m)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    draws = XorShift64Star(seed).draws
     counts = dict.fromkeys(range(m + 1), 0)
-    for _ in range(samples):
-        counts[rank_of_words(draws(m, m))] += 1
+    per_lane, rest = divmod(samples, _LANES)
+    state = XorShift64Star(seed)._state
+    if per_lane:
+        state = _rank_lanes(counts, m, state, per_lane, _LANES)
+    if rest:
+        _rank_lanes(counts, m, state, 1, rest)
     return counts
+
+
+def _step(x: int, low: int) -> int:
+    # one xorshift64* state step of every 64-bit lane of `x` that `low` keeps
+    x ^= x >> 12 & low
+    x ^= x << 25 & low
+    return x ^ (x >> 27 & low)
+
+
+@cache
+def _square(j: int) -> tuple[int, ...]:
+    # rows of T^(2^j), where T is one xorshift64* step of the state: row i is the image of
+    # bit i; kept for any later jump, at most 64 of them of 64 words each
+    if j == 0:
+        return tuple(_step(1 << i, _M64) for i in range(64))
+    half = _square(j - 1)
+    tables = _tables_of(half)
+    return tuple(_combine(tables, r) for r in half)
+
+
+def _jump(draws: int) -> tuple[list[int], ...]:
+    # byte tables of T^draws, the state `draws` xorshift64* steps on, by squaring
+    rows = [1 << i for i in range(64)]
+    for j in range(draws.bit_length()):
+        if draws >> j & 1:
+            tables = _tables_of(rows)
+            rows = [_combine(tables, r) for r in _square(j)]
+    return _tables_of(rows)
+
+
+def _rank_lanes(counts: dict[int, int], m: int, state: int, per_lane: int, lanes: int) -> int:
+    """Add the ranks of `per_lane` matrices from each of `lanes` consecutive streams to `counts`.
+
+    Lane k steps its own xorshift64* state, T^(k per_lane m) of `state`,
+    in bits 128k..128k+63 of one int, so each product with the draw
+    constant stays under 2^128.  The draws' low m bits move into lanes
+    of w bits, the smallest of 8, 16, 32 and 64 that hold m, where row i
+    of every matrix is one int.  Returns the state where the last lane
+    ended.
+    """
+    jump, starts = _jump(per_lane * m), [state]
+    for _ in range(lanes - 1):
+        starts.append(_combine(jump, starts[-1]))
+    x = int.from_bytes(_packed(chain.from_iterable(zip(starts, repeat(0)))), "little")
+    lane = int.from_bytes((b"\1" + bytes(15)) * lanes, "little")
+    low, keep = lane * _M64, lane * ((1 << m) - 1)
+    w = max(8, 1 << (m - 1).bit_length())
+    size, code = w // 8, "BHIQ"[(w // 8).bit_length() - 1]
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * lanes, "little")
+    full = ones * ((1 << w) - 1)
+    for _ in range(per_lane):
+        rows = []
+        for _ in range(m):
+            x = _step(x, low)
+            draws = memoryview((x * 0x2545F4914F6CDD1D & keep).to_bytes(16 * lanes, "little"))
+            rows.append(int.from_bytes(draws.cast(code)[:: 16 // size], "little"))
+        # column c: in each lane the first row with bit c set is the pivot, and its bits
+        # c..w-1 are XORed into every row with bit c set; `spread` copies bit c up to w-1
+        ranks = 0
+        for c in range(m):
+            bit, spread = ones << c, (1 << (w - c)) - 1
+            free, pivot = full, 0
+            for r in rows:
+                sel = (r & bit) * spread & free
+                free ^= sel
+                pivot ^= r & sel
+            rows = [r ^ (r & bit) * spread & pivot for r in rows]
+            ranks += (free & bit ^ bit) >> c
+        lane_ranks = ranks.to_bytes(size * lanes, "little")[::size]
+        for r in range(m + 1):
+            counts[r] += lane_ranks.count(r)
+    return x >> 128 * (lanes - 1)
 
 
 def _rank_summary(counts: dict[int, int], m: int) -> tuple[int, int, float, float]:
@@ -292,7 +380,7 @@ def permute_address_bits(stream: AddressStream, perm: Sequence[int]) -> AddressS
     rows = [0] * m
     for k, p in enumerate(perm):
         rows[p - 1] = 1 << k
-    tables = GenerationMatrix(rows, m)._byte_tables()
+    tables = _tables_of(rows)
     words = chain.from_iterable(block for block, _ in _checked_blocks(stream.words(), m))
     return AddressStream(m, stream.count, map(partial(_combine, tables), words))
 

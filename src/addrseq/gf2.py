@@ -211,16 +211,9 @@ class GenerationMatrix(_Value):
         return self._diff
 
     def _byte_tables(self) -> tuple[list[int], ...]:
-        # table j holds, at index s, the XOR of the rows 8j + i picked by the bits i of
-        # the byte s; built on first use and kept, and never mutated after that
+        # `_tables_of` the rows, built on first use and kept
         if self._tables is None:
-            tables = []
-            for j in range(0, self.m, 8):
-                table = [0]
-                for row in self._words[j : j + 8]:
-                    table += [t ^ row for t in table]
-                tables.append(table)
-            object.__setattr__(self, "_tables", tuple(tables))
+            object.__setattr__(self, "_tables", _tables_of(self._words))
         return self._tables
 
     def require_full_rank(self) -> "GenerationMatrix":
@@ -266,6 +259,18 @@ class GenerationMatrix(_Value):
 
     def __repr__(self) -> str:
         return f"GenerationMatrix([{', '.join(str(r) for r in self.rows)}])"
+
+
+def _tables_of(rows: Sequence[int]) -> tuple[list[int], ...]:
+    # table j holds, at index s, the XOR of the rows 8j + i picked by the bits i of the
+    # byte s; never mutated after this
+    tables = []
+    for j in range(0, len(rows), 8):
+        table = [0]
+        for row in rows[j : j + 8]:
+            table += [t ^ row for t in table]
+        tables.append(table)
+    return tuple(tables)
 
 
 def _combine(tables: Sequence[Sequence[int]], selector: int) -> int:

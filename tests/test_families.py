@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 from itertools import islice, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addrseq import (
@@ -30,6 +31,9 @@ from addrseq import (
     sampled_rank_counts,
     verify_complete,
 )
+from addrseq.families import _LANES as B
+from addrseq.families import _jump
+from addrseq.gf2 import _combine
 
 from _tables import (
     EXPECTED_DEFICIT_M4,
@@ -337,6 +341,62 @@ def test_xorshift_matches_a_plain_reference(seed, calls):
         else:
             count, k = args
             assert rng.draws(count, k) == [w & ((1 << k) - 1) for w in islice(stream, count)]
+
+
+def reference_census(m, samples, seed):
+    ranks = [reference_rank(rows) for rows in islice(reference_matrices(m, seed), samples)]
+    return {r: ranks.count(r) for r in range(m + 1)}
+
+
+# the lane sampler cuts the stream into B lane streams plus a batch of samples % B one-matrix
+# lanes, so the census is checked on both sides of each batch edge
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    samples=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]) | st.integers(1, 3 * B),
+    seed=st.sampled_from([-1, -(1 << 65) - 3, 0]) | st.integers(1 << 64, 1 << 70),
+)
+def test_lane_sampler_matches_the_reference_at_every_batch_edge(m, samples, seed):
+    assert sampled_rank_counts(m, samples, seed) == reference_census(m, samples, seed)
+
+
+# each lane width (8, 16, 32, 64 bits) at its edges, with a full batch and a left-over one
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 32, 33, 64])
+@pytest.mark.parametrize("samples", [5, B + 2])
+def test_lane_sampler_matches_the_reference_at_every_lane_width(m, samples):
+    assert sampled_rank_counts(m, samples, m) == reference_census(m, samples, m)
+
+
+_INVERSE = pow(0x2545F4914F6CDD1D, -1, 1 << 64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(draws=st.integers(0, 5000), seed=st.integers(-(1 << 66), 1 << 66))
+@example(draws=0, seed=0)
+@example(draws=1, seed=0)
+@example(draws=4096, seed=1)
+@example(draws=5000, seed=2)
+def test_jump_equals_stepping_the_reference_stream(draws, seed):
+    # a draw is its state times an odd constant, so each state is read back from its draw
+    states = (d * _INVERSE & M64 for d in reference_stream(seed & M64))
+    start = next(states)
+    want = next(islice(states, draws - 1, None)) if draws else start
+    assert _combine(_jump(draws), start) == want
+
+
+def test_lane_sampler_memory_does_not_grow_with_the_sample_count():
+    def peak(samples):
+        sampled_rank_counts(32, samples)  # first builds the cached squares of the step map
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sampled_rank_counts(32, samples)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    one, eight = peak(B), peak(8 * B)
+    assert abs(eight - one) <= 0.1 * one
 
 
 def test_sampled_rank_counts_keys_every_rank_and_checks_its_arguments():
