@@ -2,8 +2,8 @@
 """How often is a random binary matrix usable as a generation matrix?
 
 A matrix generates a full address sequence iff it is invertible over
-GF(2).  This script compares the closed-form probability against an
-exhaustive census (m <= 4) and Monte Carlo sampling, then looks at the
+GF(2).  This script compares the closed-form probability against the
+exact rank census of every matrix and Monte Carlo sampling, then looks at the
 rejection-sampling cost of drawing full-rank matrices and at how many
 sequences bit permutation alone can reach.
 """

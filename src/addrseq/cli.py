@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rs.add_argument("-m", type=_int_arg, required=True)
     rs.add_argument("-n", "--samples", type=_int_arg, default=100_000)
     rs.add_argument("--seed", type=_int_arg, default=0)
-    rs.add_argument("--exhaustive", action="store_true", help="enumerate all matrices (m <= 4)")
+    rs.add_argument("--exhaustive", action="store_true", help="add the exact census of all matrices")
 
     perm = sub.add_parser("permute", help="rearrange the bits of every address")
     perm.add_argument("-m", type=_int_arg, required=True)

@@ -23,9 +23,8 @@ and address-bit permutation of an existing stream.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import cache, partial
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, _tables_of, as_bitvector, rank_of_words
@@ -36,6 +35,7 @@ FULLRANK_LIMIT = 0.2887880950866  # limit of prod(1 - 2^-i) as m grows
 RANK_DEFICIT_LIMIT = 0.850179830874
 
 _M64 = (1 << 64) - 1
+_STAR = 0x2545F4914F6CDD1D  # xorshift64*'s output multiplier
 
 
 def _rotl(word: int, j: int, m: int) -> int:
@@ -172,10 +172,8 @@ class XorShift64Star:
         x = self._state
         out = []
         for _ in range(count):
-            x ^= x >> 12
-            x ^= (x << 25) & _M64
-            x ^= x >> 27
-            out.append((x * 0x2545F4914F6CDD1D) & mask)
+            x = _step(x, _M64)
+            out.append(x * _STAR & mask)
         self._state = x
         return out
 
@@ -269,13 +267,19 @@ def _square(j: int) -> tuple[int, ...]:
     return tuple(_combine(tables, r) for r in half)
 
 
+@cache
+def _square_tables(j: int) -> tuple[list[int], ...]:
+    # byte tables of T^(2^j), built and kept only for the squares a jump uses
+    return _tables_of(_square(j))
+
+
 def _jump(draws: int) -> tuple[list[int], ...]:
-    # byte tables of T^draws, the state `draws` xorshift64* steps on, by squaring
+    # byte tables of T^draws, the state `draws` xorshift64* steps on: the identity's rows
+    # carried through each square that `draws` sums
     rows = [1 << i for i in range(64)]
     for j in range(draws.bit_length()):
         if draws >> j & 1:
-            tables = _tables_of(rows)
-            rows = [_combine(tables, r) for r in _square(j)]
+            rows = list(map(partial(_combine, _square_tables(j)), rows))
     return _tables_of(rows)
 
 
@@ -303,7 +307,7 @@ def _rank_lanes(counts: dict[int, int], m: int, state: int, per_lane: int, lanes
         rows = []
         for _ in range(m):
             x = _step(x, low)
-            draws = memoryview((x * 0x2545F4914F6CDD1D & keep).to_bytes(16 * lanes, "little"))
+            draws = memoryview((x * _STAR & keep).to_bytes(16 * lanes, "little"))
             rows.append(int.from_bytes(draws.cast(code)[:: 16 // size], "little"))
         # column c: in each lane the first row with bit c set is the pivot, and its bits
         # c..w-1 are XORed into every row with bit c set; `spread` copies bit c up to w-1
@@ -345,11 +349,16 @@ def fullrank_acceptance_rate(m: int, samples: int, seed: int = 0) -> float:
 
 
 def exhaustive_rank_counts(m: int) -> dict[int, int]:
-    """Census of ranks over all 2^(m*m) matrices (m <= 4 only)."""
-    if not 1 <= m <= 4:
-        raise ValueError(f"exhaustive enumeration is limited to m <= 4, got {m}")
-    counts = Counter(map(rank_of_words, product(range(1 << m), repeat=m)))
-    return {r: counts[r] for r in range(m + 1)}
+    """Exact census of ranks over all 2^(m*m) m x m GF(2) matrices, by closed form.
+
+    Rank r has ``prod_{i<r} (2^m - 2^i)^2 / (2^r - 2^i)`` matrices; in exact
+    integers, each count is the one before it times ``2^r (2^(m-r) - 1)^2 / (2^(r+1) - 1)``.
+    """
+    _check_m(m)
+    counts = [1]
+    for r in range(m):
+        counts.append((counts[-1] * ((1 << m - r) - 1) ** 2 << r) // ((2 << r) - 1))
+    return dict(enumerate(counts))
 
 
 # -- address-bit permutation --------------------------------------------------
@@ -401,6 +410,8 @@ def permutation_count(m: int) -> PermutationCount:
 # -- family dispatch by name (CLI surface) ------------------------------------
 
 FAMILY_NAMES = ("linear", "pow2", "complement", "limited", "gray", "quasi", "random")
+_PLAIN_FAMILIES = {"linear": linear_matrix, "complement": complement_matrix,  # no parameter
+                   "limited": limited_matrix, "quasi": quasirandom_matrix}
 
 
 def family_matrix(spec: str, m: int, seed: int | None = None) -> GenerationMatrix:
@@ -414,29 +425,17 @@ def family_matrix(spec: str, m: int, seed: int | None = None) -> GenerationMatri
     try:
         if seed is not None and name in FAMILY_NAMES and name != "random":
             raise ValueError(f"{name} takes no seed; --seed is for the random family")
-        if name == "linear":
+        if name in _PLAIN_FAMILIES:
             if arg:
-                raise ValueError("linear takes no parameter")
-            return linear_matrix(m)
+                raise ValueError(f"{name} takes no parameter")
+            return _PLAIN_FAMILIES[name](m)
         if name == "pow2":
             if not arg:
                 raise ValueError("pow2 needs a shift, e.g. pow2:2")
             return power2_matrix(m, _ascii_int(arg))
-        if name == "complement":
-            if arg:
-                raise ValueError("complement takes no parameter")
-            return complement_matrix(m)
-        if name == "limited":
-            if arg:
-                raise ValueError("limited takes no parameter")
-            return limited_matrix(m)
         if name == "gray":
             perm = list(map(_ascii_int, arg.split(","))) if arg else None
             return graycode_matrix(m, perm)
-        if name == "quasi":
-            if arg:
-                raise ValueError("quasi takes no parameter")
-            return quasirandom_matrix(m)
         if name == "random":
             if arg:
                 if seed is not None:

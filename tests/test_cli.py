@@ -667,6 +667,13 @@ def test_rank_stats_exhaustive_m4(capsys):
     assert "exhaustive_fullrank_fraction=0.3076171875" in out
 
 
+def test_rank_stats_exhaustive_census_at_the_widest_m(capsys):
+    code, out, err = run_cli(capsys, "rank-stats", "-m", "64", "--exhaustive", "-n", "10")
+    assert (code, err) == (0, "")
+    assert f"exhaustive_total={1 << 4096}\n" in out
+    assert "exhaustive_fullrank_fraction=0.28878809508660" in out
+
+
 def test_rank_stats_m1(capsys):
     code, out, _ = run_cli(capsys, "rank-stats", "-m", "1", "-n", "2000", "--seed", "0")
     assert code == 0
@@ -703,6 +710,18 @@ RANK_STATS_GOLDEN = {
         "mc_fullrank_rate=0.30666666666666664\n"
         "mc_expected_rank_deficit=0.8163333333333334\n"
     ),
+    ("-m", "5", "--exhaustive", "-n", "3000", "--seed", "11"): (
+        "m=5\n"
+        "analytic_fullrank_probability=0.2980041503906\n"
+        "exhaustive_total=33554432\n"
+        "exhaustive_fullrank=9999360\n"
+        "exhaustive_fullrank_fraction=0.298004150390625\n"
+        "exhaustive_expected_rank_deficit=0.8309620320796967\n"
+        "samples=3000\n"
+        "seed=11\n"
+        "mc_fullrank_rate=0.29733333333333334\n"
+        "mc_expected_rank_deficit=0.8373333333333334\n"
+    ),
     ("-m", "64", "-n", "500", "--seed", "3"): (
         "m=64\n"
         "analytic_fullrank_probability=0.2887880950866\n"
@@ -723,7 +742,7 @@ def test_rank_stats_output_is_pinned(capsys, args):
     "args,message",
     [
         (("-m", "8", "-n", "0"), "samples must be >= 1, got 0"),
-        (("-m", "6", "--exhaustive"), "exhaustive enumeration is limited to m <= 4, got 6"),
+        (("-m", "65", "--exhaustive"), "m must be in 1..64, got 65"),
     ],
 )
 def test_rank_stats_failure_prints_no_partial_report(capsys, args, message):

@@ -1,12 +1,15 @@
 import math
 import tracemalloc
-from itertools import islice, permutations
+from collections import Counter
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addrseq import (
+    FULLRANK_LIMIT,
+    RANK_DEFICIT_LIMIT,
     AddressStream,
     GenerationMatrix,
     XorShift64Star,
@@ -432,9 +435,37 @@ def test_exhaustive_census_m4_matches_independent_enumeration():
     assert exhaustive_rank_counts(4) == RANK_CENSUS_M4
 
 
-def test_exhaustive_census_rejects_large_m():
-    with pytest.raises(ValueError):
-        exhaustive_rank_counts(5)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exhaustive_census_matches_an_enumeration_of_every_matrix(m):
+    counts = Counter(map(reference_rank, product(range(1 << m), repeat=m)))
+    assert exhaustive_rank_counts(m) == {r: counts[r] for r in range(m + 1)}
+
+
+def test_exhaustive_census_counts_every_matrix_at_every_width():
+    for m in range(1, 65):
+        counts = exhaustive_rank_counts(m)
+        assert list(counts) == list(range(m + 1))
+        assert sum(counts.values()) == 1 << (m * m)
+        fraction = counts[m] / (1 << (m * m))
+        assert abs(fraction - fullrank_probability(m)) < 1e-15
+        assert f"{fraction:.13f}" == f"{fullrank_probability(m):.13f}"
+    # |GL(5, 2)| and |GL(6, 2)|
+    assert exhaustive_rank_counts(5)[5] == 9999360
+    assert exhaustive_rank_counts(6)[6] == 20158709760
+
+
+def test_exhaustive_census_reaches_the_limits_at_m64():
+    counts = exhaustive_rank_counts(64)
+    total = 1 << 4096
+    assert abs(counts[64] / total - FULLRANK_LIMIT) < 1e-12
+    deficit = sum((64 - r) * c for r, c in counts.items()) / total
+    assert abs(deficit - RANK_DEFICIT_LIMIT) < 1e-12
+
+
+@pytest.mark.parametrize("m", [0, 65, True])
+def test_exhaustive_census_takes_the_width_rule(m):
+    with pytest.raises(ValueError, match="m must be in 1..64"):
+        exhaustive_rank_counts(m)
 
 
 def test_expected_rank_deficit_one_bit():
@@ -592,3 +623,18 @@ def test_family_dispatch_refuses_a_seed_it_would_not_use():
 def test_family_dispatch_errors(spec):
     with pytest.raises(ValueError):
         family_matrix(spec, 4)
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("linear:3", "bad family 'linear:3': linear takes no parameter"),
+        ("complement:1", "bad family 'complement:1': complement takes no parameter"),
+        ("Limited:x", "bad family 'Limited:x': limited takes no parameter"),
+        ("quasi:seed=2", "bad family 'quasi:seed=2': quasi takes no parameter"),
+    ],
+)
+def test_family_dispatch_refuses_a_parameter_where_none_is_taken(spec, message):
+    with pytest.raises(ValueError) as excinfo:
+        family_matrix(spec, 4)
+    assert str(excinfo.value) == message
