@@ -86,23 +86,17 @@ def _completeness(words: list[int], m: int) -> Completeness:
         seen = bytearray(full)
         deque(map(seen.__setitem__, words, repeat(1)), maxlen=0)
         distinct, missing = full - seen.count(0), seen.find(0)
-        if len(words) > distinct:  # some word repeats: its first sighting clears its byte
-            for w in words:
-                if not seen[w]:
-                    first_dup = BitVector(m, w)
-                    break
-                seen[w] = 0
     else:
-        # sparse: a set sized by the input; by pigeonhole, 0..distinct lacks a value
-        seen_set = set(words)
-        distinct = len(seen_set)
-        missing = next(w for w in count() if w not in seen_set)
-        if len(words) > distinct:  # some word repeats: its first sighting removes it
-            for w in words:
-                if w not in seen_set:
-                    first_dup = BitVector(m, w)
-                    break
-                seen_set.remove(w)
+        # sparse: a map sized by the input; by pigeonhole, 0..distinct lacks a value
+        seen = dict.fromkeys(words, 1)
+        distinct = len(seen)
+        missing = next(w for w in count() if w not in seen)
+    if len(words) > distinct:  # some word repeats: its first sighting clears its entry
+        for w in words:
+            if not seen[w]:
+                first_dup = BitVector(m, w)
+                break
+            seen[w] = 0
     first_missing = BitVector(m, missing) if missing >= 0 else None
     complete = len(words) == full and distinct == full
     return Completeness(complete, m, len(words), distinct, first_dup, first_missing)

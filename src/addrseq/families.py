@@ -140,11 +140,12 @@ def quasirandom_matrix(m: int, rows: Iterable[BitsLike] | None = None) -> Genera
 # -- seeded random sampling ---------------------------------------------------
 
 
-def _splitmix64(seed: int) -> int:
+def _seeded(seed: int) -> int:
+    # the xorshift64* start state of `seed`, as `XorShift64Star` documents it
     z = (seed + 0x9E3779B97F4A7C15) & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
+    return z ^ (z >> 31) or 0x9E3779B97F4A7C15
 
 
 class XorShift64Star:
@@ -163,8 +164,7 @@ class XorShift64Star:
     """
 
     def __init__(self, seed: int = 0):
-        state = _splitmix64(seed & _M64)
-        self._state = state if state else 0x9E3779B97F4A7C15
+        self._state = _seeded(seed)
 
     def draws(self, count: int, k: int = 64) -> list[int]:
         """Low k bits of each of the next `count` draws (all 64 when k >= 64)."""
@@ -228,72 +228,24 @@ def sampled_rank_counts(m: int, samples: int, seed: int = 0) -> dict[int, int]:
     xorshift64* draws, as in `random_fullrank_matrix`) and ranked once.
     Returns the count of each rank 0..m, like `exhaustive_rank_counts`.
 
-    The draw stream is cut into 1024 lane streams of ``samples // 1024``
-    matrices each, and the ``samples % 1024`` left over into one more
-    batch of one matrix per lane.  Each lane starts where the one before
-    it ends, reached by jump-ahead, and every big-int operation steps or
-    eliminates a whole batch.  The census does not depend on the order
-    of the samples, so it equals that of drawing and ranking the
-    matrices one by one.
+    The draw stream is cut into at most 1024 lane streams of
+    ``rounds = ceil(samples / 1024)`` matrices each; only the last lane
+    can hold fewer.  Lane k steps its own xorshift64* state, T^(k rounds m)
+    of the seeded one, reached by jump-ahead, in bits 128k..128k+63 of one
+    int, so each product with the draw constant stays under 2^128.  The
+    draws' low m bits move into lanes of w bits, the smallest of 8, 16,
+    32 and 64 that hold m, where row i of every matrix is one int, and
+    every big-int operation steps or eliminates a whole round.  The census
+    does not depend on the order of the samples, so it equals that of
+    drawing and ranking the matrices one by one.
     """
     _check_m(m)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    counts = dict.fromkeys(range(m + 1), 0)
-    per_lane, rest = divmod(samples, _LANES)
-    state = XorShift64Star(seed)._state
-    if per_lane:
-        state = _rank_lanes(counts, m, state, per_lane, _LANES)
-    if rest:
-        _rank_lanes(counts, m, state, 1, rest)
-    return counts
-
-
-def _step(x: int, low: int) -> int:
-    # one xorshift64* state step of every 64-bit lane of `x` that `low` keeps
-    x ^= x >> 12 & low
-    x ^= x << 25 & low
-    return x ^ (x >> 27 & low)
-
-
-@cache
-def _square(j: int) -> tuple[int, ...]:
-    # rows of T^(2^j), where T is one xorshift64* step of the state: row i is the image of
-    # bit i; kept for any later jump, at most 64 of them of 64 words each
-    if j == 0:
-        return tuple(_step(1 << i, _M64) for i in range(64))
-    half = _square(j - 1)
-    tables = _tables_of(half)
-    return tuple(_combine(tables, r) for r in half)
-
-
-@cache
-def _square_tables(j: int) -> tuple[list[int], ...]:
-    # byte tables of T^(2^j), built and kept only for the squares a jump uses
-    return _tables_of(_square(j))
-
-
-def _jump(draws: int) -> tuple[list[int], ...]:
-    # byte tables of T^draws, the state `draws` xorshift64* steps on: the identity's rows
-    # carried through each square that `draws` sums
-    rows = [1 << i for i in range(64)]
-    for j in range(draws.bit_length()):
-        if draws >> j & 1:
-            rows = list(map(partial(_combine, _square_tables(j)), rows))
-    return _tables_of(rows)
-
-
-def _rank_lanes(counts: dict[int, int], m: int, state: int, per_lane: int, lanes: int) -> int:
-    """Add the ranks of `per_lane` matrices from each of `lanes` consecutive streams to `counts`.
-
-    Lane k steps its own xorshift64* state, T^(k per_lane m) of `state`,
-    in bits 128k..128k+63 of one int, so each product with the draw
-    constant stays under 2^128.  The draws' low m bits move into lanes
-    of w bits, the smallest of 8, 16, 32 and 64 that hold m, where row i
-    of every matrix is one int.  Returns the state where the last lane
-    ended.
-    """
-    jump, starts = _jump(per_lane * m), [state]
+    rounds = -(-samples // _LANES)
+    lanes = -(-samples // rounds)
+    short = samples - (lanes - 1) * rounds  # the last lane counts in rounds 0..short-1 only
+    jump, starts = _jump(rounds * m), [_seeded(seed)]
     for _ in range(lanes - 1):
         starts.append(_combine(jump, starts[-1]))
     x = int.from_bytes(_packed(chain.from_iterable(zip(starts, repeat(0)))), "little")
@@ -303,7 +255,8 @@ def _rank_lanes(counts: dict[int, int], m: int, state: int, per_lane: int, lanes
     size, code = w // 8, "BHIQ"[(w // 8).bit_length() - 1]
     ones = int.from_bytes((b"\1" + bytes(size - 1)) * lanes, "little")
     full = ones * ((1 << w) - 1)
-    for _ in range(per_lane):
+    counts = dict.fromkeys(range(m + 1), 0)
+    for i in range(rounds):
         rows = []
         for _ in range(m):
             x = _step(x, low)
@@ -321,10 +274,37 @@ def _rank_lanes(counts: dict[int, int], m: int, state: int, per_lane: int, lanes
                 pivot ^= r & sel
             rows = [r ^ (r & bit) * spread & pivot for r in rows]
             ranks += (free & bit ^ bit) >> c
-        lane_ranks = ranks.to_bytes(size * lanes, "little")[::size]
+        lane_ranks = ranks.to_bytes(size * lanes, "little")[::size][: lanes if i < short else -1]
         for r in range(m + 1):
             counts[r] += lane_ranks.count(r)
-    return x >> 128 * (lanes - 1)
+    return counts
+
+
+def _step(x: int, low: int) -> int:
+    # one xorshift64* state step of every 64-bit lane of `x` that `low` keeps
+    x ^= x >> 12 & low
+    x ^= x << 25 & low
+    return x ^ (x >> 27 & low)
+
+
+@cache
+def _square(j: int) -> tuple[list[int], ...]:
+    # byte tables of T^(2^j), where T is one xorshift64* step of the state; row i, the image
+    # of bit i, reads back as tables[i >> 3][1 << (i & 7)]; kept for any later jump
+    if j == 0:
+        return _tables_of([_step(1 << i, _M64) for i in range(64)])
+    half = _square(j - 1)
+    return _tables_of([_combine(half, half[i >> 3][1 << (i & 7)]) for i in range(64)])
+
+
+def _jump(draws: int) -> tuple[list[int], ...]:
+    # byte tables of T^draws, the state `draws` xorshift64* steps on: the identity's rows
+    # carried through each square that `draws` sums
+    rows = [1 << i for i in range(64)]
+    for j in range(draws.bit_length()):
+        if draws >> j & 1:
+            rows = list(map(partial(_combine, _square(j)), rows))
+    return _tables_of(rows)
 
 
 def _rank_summary(counts: dict[int, int], m: int) -> tuple[int, int, float, float]:

@@ -219,6 +219,7 @@ def detect_format(lines: Sequence[str], m: int) -> str:
     read as both dec and hex with different values, or read as bin of
     another width.
     """
+    _check_m(m)
     lines = list(lines)
     try:
         return _detect(_Tokens(lines), m)
@@ -233,6 +234,7 @@ def parse_lines(lines: Iterable[str], m: int, fmt: str = "auto") -> list[int]:
     Unparseable lines raise SequenceParseError naming the 1-based line
     number.
     """
+    _check_m(m)
     stripped = list(map(str.strip, lines, repeat(_SPACE)))
     tokens = _Tokens(list(filter(None, stripped)))
     try:

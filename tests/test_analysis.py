@@ -219,6 +219,11 @@ def test_bit_balance_rejects_incomplete_input():
         bit_balance(list(range(10)), 4)
 
 
+def test_bit_balance_names_the_first_duplicate():
+    with pytest.raises(IncompleteSequenceError, match="first duplicate 01, first missing 10"):
+        bit_balance([0, 1, 1, 3], 2)
+
+
 # -- tuple balance ----------------------------------------------------------------
 
 

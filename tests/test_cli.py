@@ -216,6 +216,11 @@ def test_gen_rejects_wide_m(capsys):
     assert err == "addrseq: m must be in 1..64, got 65\n"
 
 
+def test_gen_family_needs_a_width(capsys):
+    code, out, err = run_cli(capsys, "gen", "--family", "linear")
+    assert (code, out, err) == (2, "", "addrseq: -m is required with --family\n")
+
+
 def test_gen_matrix_file_wider_than_64_states_the_width_rule(capsys, tmp_path):
     # the matrix once said "matrix size must be in 1..64", where every other entry point
     # states the rule as below

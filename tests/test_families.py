@@ -351,8 +351,9 @@ def reference_census(m, samples, seed):
     return {r: ranks.count(r) for r in range(m + 1)}
 
 
-# the lane sampler cuts the stream into B lane streams plus a batch of samples % B one-matrix
-# lanes, so the census is checked on both sides of each batch edge
+# the lane sampler cuts the stream into at most B lanes of ceil(samples / B) matrices each, of
+# which only the last can run short: B fills one round of B lanes, B + 1 gives 513 lanes whose
+# last holds 1 sample, and 2B + 3 gives 684 lanes of 3 whose last holds 2
 @settings(max_examples=25, deadline=None)
 @given(
     m=st.integers(1, 12),
@@ -363,7 +364,8 @@ def test_lane_sampler_matches_the_reference_at_every_batch_edge(m, samples, seed
     assert sampled_rank_counts(m, samples, seed) == reference_census(m, samples, seed)
 
 
-# each lane width (8, 16, 32, 64 bits) at its edges, with a full batch and a left-over one
+# each lane width (8, 16, 32, 64 bits) at its edges, in one round of 5 lanes and in two
+# rounds of 513
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 32, 33, 64])
 @pytest.mark.parametrize("samples", [5, B + 2])
 def test_lane_sampler_matches_the_reference_at_every_lane_width(m, samples):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from addrseq import FORMATS, SequenceParseError, format_lines, parse_lines
 from addrseq.cli import _write_words
-from addrseq.formats import _BLOCK, CSV_HEADER
+from addrseq.formats import _BLOCK, CSV_HEADER, detect_format
 
 import _line_format
 import _line_parser
@@ -56,6 +56,10 @@ def test_words_out_of_range_are_rejected(fmt, word):
 def test_widths_outside_a_word_are_rejected(m):
     with pytest.raises(ValueError, match=f"m must be in 1..64, got {m}"):
         list(format_lines([0], m, "bin"))
+    with pytest.raises(ValueError, match=f"m must be in 1..64, got {m}"):
+        parse_lines(["1"], m)
+    with pytest.raises(ValueError, match=f"m must be in 1..64, got {m}"):
+        detect_format(["1"], m)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -131,6 +135,29 @@ def test_csv_columns_beside_the_bits_are_checked(row, reason):
     with pytest.raises(SequenceParseError, match=re.escape(reason)) as exc:
         parse_lines(lines, 2, "auto")
     assert exc.value.lineno == 3
+
+
+def test_csv_address_bin_of_another_width_is_rejected():
+    with pytest.raises(SequenceParseError, match="address_bin is not 2 bits") as exc:
+        parse_lines(["0,0,00,", "1,1,1,1"], 2, "csv")
+    assert exc.value.lineno == 2
+
+
+def test_unknown_parse_format_rejected():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        parse_lines(["1"], 2, fmt="xml")
+
+
+def test_detect_format_answers():
+    assert detect_format(["0101", "1100"], 4) == "bin"
+    assert detect_format(["12", "7"], 4) == "dec"
+    assert detect_format(["0f", "a0"], 8) == "hex"
+
+
+def test_detect_format_numbers_its_error_within_the_lines():
+    with pytest.raises(SequenceParseError, match="reads as 2-bit bin, not 40-bit") as exc:
+        detect_format(["10", "11", "01"], 40)
+    assert (exc.value.lineno, exc.value.line) == (3, "01")
 
 
 def test_csv_distance_may_be_empty_on_row_0_only():

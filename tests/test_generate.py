@@ -187,6 +187,11 @@ def test_address_at_matches_full_enumeration(worked_matrix):
     assert [address_at(worked_matrix, n).word for n in range(16)] == up
 
 
+def test_address_at_rejects_a_position_past_the_period(worked_matrix):
+    with pytest.raises(ValueError, match=r"position must be in 0\.\.2\^4-1, got 16"):
+        address_at(worked_matrix, 16)
+
+
 # -- engine equivalence -----------------------------------------------------------------
 
 

@@ -227,6 +227,13 @@ def test_linear_combination_rejects_wrong_selector_width(worked_matrix):
 # -- construction and text format ------------------------------------------------
 
 
+def test_matrix_infers_its_width_from_the_rows():
+    assert GenerationMatrix([BitVector(5, 1 << i) for i in range(5)]).m == 5
+    assert GenerationMatrix([1, 2, 4]).m == 3
+    with pytest.raises(ValueError, match="empty matrix and no explicit width"):
+        GenerationMatrix([])
+
+
 def test_matrix_requires_square_row_count():
     with pytest.raises(ValueError):
         GenerationMatrix(["1011", "1000", "0101"], m=4)
