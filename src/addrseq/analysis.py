@@ -207,9 +207,10 @@ def analyze(words: Iterable[int], m: int, max_r: int = 4) -> ActivityReport:
     sequence reports ``balance_checked`` with that ``balance_r_max`` and
     no per-subset tally is run (``tuple_balance`` counts one subset
     outright).  Partial sequences get a report with ``complete=False``
-    and balance unchecked.  ``max_r`` below 1 raises ValueError.
+    and balance unchecked.  A ``max_r`` that is not an int of at least 1
+    raises ValueError.
     """
-    if max_r < 1:
+    if max_r.__class__ is not int or max_r < 1:
         raise ValueError(f"max_r must be at least 1, got {max_r}")
     words, per_bit_ones = _as_words(words, m, True)
     comp = _completeness(words, m)

@@ -23,7 +23,7 @@ and address-bit permutation of an existing stream.
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import partial
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -60,7 +60,7 @@ def power2_matrix(m: int, j: int) -> GenerationMatrix:
     bits.  j = 0 is the linear matrix itself.
     """
     _check_m(m)
-    if not 0 <= j <= m - 1:
+    if j.__class__ is not int or not 0 <= j <= m - 1:
         raise ValueError(f"j must be in 0..{m - 1}, got {j}")
     return GenerationMatrix((_rotl((1 << i) - 1, j, m) for i in range(1, m + 1)), m)
 
@@ -210,7 +210,7 @@ def fullrank_probability(m: int) -> float:
     Closed form ``prod_{i=1..m} (1 - 2^-i)``; decreases monotonically to
     the limit 0.2887880950866.
     """
-    if m < 1:
+    if m.__class__ is not int or m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     p = 1.0
     for i in range(1, m + 1):
@@ -240,7 +240,7 @@ def sampled_rank_counts(m: int, samples: int, seed: int = 0) -> dict[int, int]:
     drawing and ranking the matrices one by one.
     """
     _check_m(m)
-    if samples < 1:
+    if samples.__class__ is not int or samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rounds = -(-samples // _LANES)
     lanes = -(-samples // rounds)
@@ -287,24 +287,13 @@ def _step(x: int, low: int) -> int:
     return x ^ (x >> 27 & low)
 
 
-@cache
-def _square(j: int) -> tuple[list[int], ...]:
-    # byte tables of T^(2^j), where T is one xorshift64* step of the state; row i, the image
-    # of bit i, reads back as tables[i >> 3][1 << (i & 7)]; kept for any later jump
-    if j == 0:
-        return _tables_of([_step(1 << i, _M64) for i in range(64)])
-    half = _square(j - 1)
-    return _tables_of([_combine(half, half[i >> 3][1 << (i & 7)]) for i in range(64)])
-
-
 def _jump(draws: int) -> tuple[list[int], ...]:
-    # byte tables of T^draws, the state `draws` xorshift64* steps on: the identity's rows
-    # carried through each square that `draws` sums
-    rows = [1 << i for i in range(64)]
-    for j in range(draws.bit_length()):
-        if draws >> j & 1:
-            rows = list(map(partial(_combine, _square(j)), rows))
-    return _tables_of(rows)
+    # byte tables of T^draws, the state `draws` xorshift64* steps on: the 64 unit states,
+    # one per 128-bit lane, stepped together; row i, the image of bit i, is lane i's low 64 bits
+    x, low = sum(1 << 129 * i for i in range(64)), sum(_M64 << 128 * i for i in range(64))
+    for _ in range(draws):
+        x = _step(x, low)
+    return _tables_of([x >> 128 * i & _M64 for i in range(64)])
 
 
 def _rank_summary(counts: dict[int, int], m: int) -> tuple[int, int, float, float]:
@@ -381,7 +370,7 @@ class PermutationCount(NamedTuple):
 
 def permutation_count(m: int) -> PermutationCount:
     """Exact m! next to its Stirling approximation m^m e^-m sqrt(2 pi m)."""
-    if m < 1:
+    if m.__class__ is not int or m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     stirling = math.exp(m * math.log(m) - m + 0.5 * math.log(2.0 * math.pi * m))
     return PermutationCount(math.factorial(m), stirling)

@@ -41,10 +41,10 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import chain, compress, count, islice, repeat
 from operator import not_, xor
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 FORMATS = ("bin", "dec", "hex", "csv")
 
@@ -212,19 +212,14 @@ def _hex_columns(buf: bytes, n: int, d: int) -> bytearray:
     return out
 
 
-def detect_format(lines: Sequence[str], m: int) -> str:
-    """Pick the format of already-stripped, non-empty lines.
+def detect_format(lines: Iterable[str], m: int) -> str:
+    """Pick the format of address lines, read as `parse_lines` reads them.
 
-    Raises SequenceParseError, numbered within `lines`, when the lines
-    read as both dec and hex with different values, or read as bin of
-    another width.
+    Raises SequenceParseError, naming the 1-based line number, when the
+    lines read as both dec and hex with different values, or read as bin
+    of another width.
     """
-    _check_m(m)
-    lines = list(lines)
-    try:
-        return _detect(_Tokens(lines), m)
-    except _BadToken as bad:
-        raise SequenceParseError(bad.index + 1, lines[bad.index], bad.reason) from None
+    return _read(lines, m, _detect)
 
 
 def parse_lines(lines: Iterable[str], m: int, fmt: str = "auto") -> list[int]:
@@ -234,31 +229,39 @@ def parse_lines(lines: Iterable[str], m: int, fmt: str = "auto") -> list[int]:
     Unparseable lines raise SequenceParseError naming the 1-based line
     number.
     """
+    return _read(lines, m, partial(_parse, fmt=fmt))
+
+
+def _read(lines: Iterable[str], m: int, read: Callable[[_Tokens, int], str | list[int]]) -> str | list[int]:
+    # `read` the non-blank lines, stripped of ASCII whitespace, as tokens; the error
+    # of a bad token names its 1-based line within `lines`
     _check_m(m)
     stripped = list(map(str.strip, lines, repeat(_SPACE)))
     tokens = _Tokens(list(filter(None, stripped)))
     try:
-        if fmt == "auto":
-            fmt = _detect(tokens, m)
+        return read(tokens, m)
     except _BadToken as bad:
-        index, reason = bad.index, bad.reason
-    else:
-        if fmt not in FORMATS:
-            raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
-        skip = 1 if fmt == "csv" and tokens.items[:1] == [CSV_HEADER] else 0
-        body = _Tokens(tokens.items[skip:]) if skip else tokens
-        words = _convert(body, m, fmt)
-        if not isinstance(words, str):
-            return words
+        lineno = list(compress(count(1), stripped))[bad.index]
+        raise SequenceParseError(lineno, tokens.items[bad.index], bad.reason) from None
+
+
+def _parse(tokens: _Tokens, m: int, fmt: str) -> list[int]:
+    if fmt == "auto":
+        fmt = _detect(tokens, m)
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
+    skip = 1 if fmt == "csv" and tokens.items[:1] == [CSV_HEADER] else 0
+    body = _Tokens(tokens.items[skip:]) if skip else tokens
+    words = _convert(body, m, fmt)
+    if isinstance(words, str):
         # locate pass, on failure only: bisect for the first bad token and ask it why
         index = skip + _first_bad(body.items, m, fmt)
-        reason = _convert(_Tokens([tokens.items[index]]), m, fmt)
-    lineno = list(compress(count(1), stripped))[index]
-    raise SequenceParseError(lineno, tokens.items[index], reason)
+        raise _BadToken(index, _convert(_Tokens([tokens.items[index]]), m, fmt))
+    return words
 
 
 class _BadToken(Exception):
-    """Detection found token `index` of the non-blank lines bad, for `reason`."""
+    """Token `index` of the non-blank lines is bad, for `reason`."""
 
     def __init__(self, index: int, reason: str):
         self.index, self.reason = index, reason

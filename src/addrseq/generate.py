@@ -114,7 +114,7 @@ class SequenceSpec(_Value):
         if self.direction not in ("up", "down"):
             raise ValueError(f"direction must be 'up' or 'down', got {self.direction!r}")
         count = (1 << m) if self.count is None else self.count
-        if not 0 <= count <= (1 << m):
+        if count.__class__ is not int or not 0 <= count <= (1 << m):
             raise ValueError(f"count must be in 0..2^{m}, got {count}")
         object.__setattr__(self, "count", count)
 
@@ -205,7 +205,7 @@ def address_at(matrix: GenerationMatrix, position: int) -> BitVector:
     (ceil(m/8) lookups in the matrix's cached tables), answers any position.
     """
     matrix.require_full_rank()
-    if not 0 <= position < (1 << matrix.m):
+    if position.__class__ is not int or not 0 <= position < (1 << matrix.m):
         raise ValueError(f"position must be in 0..2^{matrix.m}-1, got {position}")
     return BitVector(matrix.m, _combine(matrix._difference()._byte_tables(), position))
 
@@ -218,7 +218,7 @@ def generate_shifted(matrix: GenerationMatrix, shift: int, count: int | None = N
     which the kernel evaluates as ``(D, 0, shift)``: the starting
     address and the row combination of the counter start cancel.
     """
-    if not 0 <= shift < (1 << matrix.m):
+    if shift.__class__ is not int or not 0 <= shift < (1 << matrix.m):
         raise ValueError(f"shift must be in 0..2^{matrix.m}-1, got {shift}")
     spec = SequenceSpec(matrix, count=count)
     return _stream(matrix._difference()._byte_tables(), spec.m, 0, shift, spec.count)

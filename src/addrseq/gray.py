@@ -93,7 +93,7 @@ def switching_sequence(m: int, b0: BitsLike = 0, count: int | None = None) -> li
     full = 1 << m
     if count is None:
         count = full
-    if count < 0 or count > full:
+    if count.__class__ is not int or not 0 <= count <= full:
         raise ValueError(f"count must be in 0..2^{m}, got {count}")
     start = as_bitvector(b0, m).word
     return [

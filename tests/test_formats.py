@@ -160,6 +160,19 @@ def test_detect_format_numbers_its_error_within_the_lines():
     assert (exc.value.lineno, exc.value.line) == (3, "01")
 
 
+@pytest.mark.parametrize("lines", [[""], ["", ""], ["01", ""], ["  "]])
+def test_detect_format_reads_blank_lines_as_parse_lines_does(lines):
+    # the first two once raised IndexError, and the last two answered dec and hex
+    assert detect_format(lines, 2) == "bin"
+    assert parse_lines(lines, 2) == parse_lines(lines, 2, "bin")
+
+
+def test_detect_format_numbers_its_error_past_blank_lines():
+    with pytest.raises(SequenceParseError, match="reads as 2-bit bin, not 40-bit") as exc:
+        detect_format(["", " 10 ", "11", "\t", "01"], 40)
+    assert (exc.value.lineno, exc.value.line) == (5, "01")
+
+
 def test_csv_distance_may_be_empty_on_row_0_only():
     assert parse_lines(["0,3,11,", "1,2,10,1", "0,0,00,"], 2, "csv") == [3, 2, 0]
     # a leading zero in address_dec still reads as the same value

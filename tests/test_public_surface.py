@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -179,3 +180,30 @@ def test_generate_stays_the_function_in_this_process(capsys):
     importlib.import_module("addrseq.generate")
     assert importlib.import_module("addrseq.cli").main(["gen", "-m", "3", "--family", "linear"]) == 0
     assert addrseq.generate is importlib.import_module("addrseq.generate").generate
+
+
+def _v():
+    return addrseq.linear_matrix(4)
+
+
+NOT_INTS = [
+    ("count", lambda x: addrseq.SequenceSpec(_v(), count=x), "count must be in 0..2^4, got {}"),
+    ("recursive", lambda x: addrseq.generate_recursive(_v(), count=x), "count must be in 0..2^4, got {}"),
+    ("shift", lambda x: addrseq.generate_shifted(_v(), x), "shift must be in 0..2^4-1, got {}"),
+    ("position", lambda x: addrseq.address_at(_v(), x), "position must be in 0..2^4-1, got {}"),
+    ("switching", lambda x: addrseq.switching_sequence(4, 0, x), "count must be in 0..2^4, got {}"),
+    ("pow2", lambda x: addrseq.power2_matrix(4, x), "j must be in 0..3, got {}"),
+    ("samples", lambda x: addrseq.sampled_rank_counts(4, x), "samples must be >= 1, got {}"),
+    ("probability", addrseq.fullrank_probability, "m must be >= 1, got {}"),
+    ("permutations", addrseq.permutation_count, "m must be >= 1, got {}"),
+    ("max_r", lambda x: addrseq.analyze(range(16), 4, max_r=x), "max_r must be at least 1, got {}"),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5])
+@pytest.mark.parametrize("call, message", [case[1:] for case in NOT_INTS], ids=[case[0] for case in NOT_INTS])
+def test_integer_arguments_that_are_not_ints_are_refused_at_the_call(call, message, value):
+    # each once read True as 1, or took 2.0 and failed only on a later read or deeper in
+    # the call (a TypeError from a slice or from &, an AttributeError in the census)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(value))}$"):
+        call(value)
