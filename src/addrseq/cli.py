@@ -5,6 +5,10 @@ verify (check a sequence, nonzero exit on failure), analyze (always
 exit 0, print the full report), rank-stats (full-rank statistics),
 permute (rearrange address bits of a sequence).
 
+Each handler returns its exit code and its output as byte blocks; `_read_text`
+is the one reader and `_write` the one writer, so a reader that closes the pipe
+early ends every command quietly with that command's own exit code.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 """
 
@@ -109,16 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_matrix(path: str):
-    from .gf2 import GenerationMatrix
-
-    # bytes that are not UTF-8 decode to surrogates, so the bad row names its line
-    with open(path, "rb") as fh:
-        return GenerationMatrix.from_text(fh.read().decode("utf-8", "surrogateescape"))
-
-
-def _read_lines(path: str | None) -> list[str]:
-    """The input's lines, read as one buffer from the file or stdin.
+def _read_text(path: str | None) -> str:
+    """The input as text, read as one buffer from the file or stdin.
 
     Bytes that are not UTF-8 decode to surrogates, so a file and stdin
     give the same lines and a bad byte is reported with its line.
@@ -128,17 +124,15 @@ def _read_lines(path: str | None) -> list[str]:
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", "surrogateescape")
-    return _split_lines(data)
+    return data.decode("utf-8", "surrogateescape") if isinstance(data, bytes) else data
 
 
-def _write_words(words: Iterable[int], m: int, fmt: str) -> None:
-    # one write per formatted block, so a pipe's reader wakes once per block; a text
+def _write(blocks: Iterable[bytes]) -> None:
+    # one write per block, so a pipe's reader wakes once per block; a text
     # stand-in for stdout has no buffer, so it gets each block decoded
     out = getattr(sys.stdout, "buffer", None)
     try:
-        for block in _byte_blocks(words, m, fmt):
+        for block in blocks:
             if out is None:
                 sys.stdout.write(block.decode())
             else:
@@ -150,21 +144,21 @@ def _write_words(words: Iterable[int], m: int, fmt: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[int, Iterable[bytes]]:
     from .families import family_matrix
     from .generate import generate_direct, generate_down, generate_recursive, generate_shifted
+    from .gf2 import GenerationMatrix
 
     if args.matrix:
         if args.seed is not None:
             raise ValueError("--seed is for --family random; a --matrix file takes no seed")
-        matrix = _load_matrix(args.matrix)
+        matrix = GenerationMatrix.from_text(_read_text(args.matrix))
         if args.m is not None and args.m != matrix.m:
             raise ValueError(f"-m {args.m} conflicts with matrix width {matrix.m}")
     else:
         if args.m is None:
             raise ValueError("-m is required with --family")
         matrix = family_matrix(args.family, args.m, seed=args.seed)
-    m = matrix.m
 
     # an option given at its default value conflicts all the same
     start_given = args.a0 is not None or args.b0 is not None
@@ -181,46 +175,42 @@ def _cmd_gen(args) -> int:
         stream = generate_down(matrix, args.a0 or 0, args.b0 or 0, args.count)
     else:
         stream = generate_recursive(matrix, args.a0 or 0, args.b0 or 0, args.count)
-
-    _write_words(stream.words(), m, args.format)
-    return 0
+    return 0, _byte_blocks(stream.words(), matrix.m, args.format)
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args) -> tuple[int, Iterable[bytes]]:
     from .families import family_matrix
 
     matrix = family_matrix(args.family, args.m, seed=args.seed)
-    sys.stdout.write(matrix.to_text())
     if args.check:
         print(f"rank={matrix.rank}", file=sys.stderr)
-    return 0
+    return 0, [matrix.to_text().encode()]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, Iterable[bytes]]:
     if args.m > args.max_m:
         raise ValueError(
             f"verify holds all 2^{args.m} words, a presence map and a byte per distance "
             f"in memory; raise --max-m beyond {args.max_m} to allow it"
         )
-    return 0 if _write_report(args) else 1
+    ok, report = _report(args)
+    return (0 if ok else 1), [report]
 
 
-def _cmd_analyze(args) -> int:
-    _write_report(args)
-    return 0
+def _cmd_analyze(args) -> tuple[int, Iterable[bytes]]:
+    return 0, [_report(args)[1]]
 
 
-def _write_report(args) -> bool:
-    """Print the report of the input sequence; True when it passes."""
+def _report(args) -> tuple[bool, bytes]:
+    """Whether the input sequence passes, and its report."""
     from .analysis import analyze, format_report
 
-    words = parse_lines(_read_lines(args.input), args.m, args.format)
+    words = parse_lines(_split_lines(_read_text(args.input)), args.m, args.format)
     report = analyze(words, args.m, max_r=args.max_r)
-    sys.stdout.write(format_report(report))
-    return report.ok
+    return report.ok, format_report(report).encode()
 
 
-def _cmd_rank_stats(args) -> int:
+def _cmd_rank_stats(args) -> tuple[int, Iterable[bytes]]:
     from .families import _rank_summary, exhaustive_rank_counts, fullrank_probability, sampled_rank_counts
 
     m = args.m
@@ -240,12 +230,10 @@ def _cmd_rank_stats(args) -> int:
         f"mc_fullrank_rate={rate}",
         f"mc_expected_rank_deficit={deficit}",
     ]
-    # computed in full before the first write, so a failure leaves stdout empty
-    sys.stdout.write("".join(line + "\n" for line in lines))
-    return 0
+    return 0, ["".join(line + "\n" for line in lines).encode()]
 
 
-def _cmd_permute(args) -> int:
+def _cmd_permute(args) -> tuple[int, Iterable[bytes]]:
     from .families import permute_address_bits
     from .generate import AddressStream
 
@@ -253,10 +241,9 @@ def _cmd_permute(args) -> int:
         perm = list(map(_ascii_int, args.perm.split(",")))
     except ValueError:
         raise ValueError(f"--perm expects a comma list of positions, got {args.perm!r}") from None
-    words = parse_lines(_read_lines(args.input), args.m, args.in_format)
+    words = parse_lines(_split_lines(_read_text(args.input)), args.m, args.in_format)
     stream = permute_address_bits(AddressStream(args.m, len(words), iter(words)), perm)
-    _write_words(stream.words(), args.m, args.format)
-    return 0
+    return 0, _byte_blocks(stream.words(), args.m, args.format)
 
 
 _HANDLERS = {
@@ -275,7 +262,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "m", None) is not None:
             _check_m(args.m)
-        return _HANDLERS[args.command](args)
+        code, blocks = _HANDLERS[args.command](args)
+        _write(blocks)
+        return code
     except (ValueError, OSError) as exc:  # RankDeficiencyError and SequenceParseError too
         print(f"addrseq: {exc}", file=sys.stderr)
         return 2

@@ -91,7 +91,7 @@ def limited_matrix(m: int, zeros: Sequence[int] | None = None) -> GenerationMatr
         zeros = tuple(zeros)
         if len(zeros) != m - 1:
             raise ValueError(f"need {m - 1} zero positions for rows 2..{m}, got {len(zeros)}")
-        if any(not 1 <= z <= m for z in zeros) or len(set(zeros)) != m - 1:
+        if any(z.__class__ is not int or not 1 <= z <= m for z in zeros) or len(set(zeros)) != m - 1:
             raise ValueError(f"zero positions must be distinct values in 1..{m}: {zeros}")
     ones = (1 << m) - 1
     rows = [ones]
@@ -142,6 +142,8 @@ def quasirandom_matrix(m: int, rows: Iterable[BitsLike] | None = None) -> Genera
 
 def _seeded(seed: int) -> int:
     # the xorshift64* start state of `seed`, as `XorShift64Star` documents it
+    if seed.__class__ is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     z = (seed + 0x9E3779B97F4A7C15) & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
@@ -337,7 +339,7 @@ def _check_perm(perm: Sequence[int] | None, m: int) -> tuple[int, ...]:
     if perm is None:
         return tuple(range(1, m + 1))
     perm = tuple(perm)
-    if sorted(perm) != list(range(1, m + 1)):
+    if any(p.__class__ is not int for p in perm) or sorted(perm) != list(range(1, m + 1)):
         raise ValueError(f"perm must be a permutation of 1..{m}, got {perm}")
     return perm
 
@@ -369,10 +371,13 @@ class PermutationCount(NamedTuple):
 
 
 def permutation_count(m: int) -> PermutationCount:
-    """Exact m! next to its Stirling approximation m^m e^-m sqrt(2 pi m)."""
+    """Exact m! next to its Stirling approximation m^m e^-m sqrt(2 pi m), inf from m = 171."""
     if m.__class__ is not int or m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    stirling = math.exp(m * math.log(m) - m + 0.5 * math.log(2.0 * math.pi * m))
+    try:
+        stirling = math.exp(m * math.log(m) - m + 0.5 * math.log(2.0 * math.pi * m))
+    except OverflowError:
+        stirling = math.inf
     return PermutationCount(math.factorial(m), stirling)
 
 

@@ -101,6 +101,8 @@ class BitVector(_Value):
     def __init__(self, width: int, word: int = 0):
         if width.__class__ is not int or not 1 <= width <= MAX_WIDTH:  # inline: built per window
             _check_m(width)
+        if word.__class__ is not int:
+            raise ValueError(f"word must be an int, got {word!r}")
         if word < 0 or word >> width:
             raise ValueError(f"word {word:#x} does not fit in {width} bits")
         object.__setattr__(self, "width", width)

@@ -623,6 +623,35 @@ def test_blocks_larger_than_the_pipe_into_a_closed_pipe_exit_quietly(tmp_path, a
     assert (code, err) == (0, b"")
 
 
+FULL_4 = "".join(f"{k:04b}\n" for k in range(16))
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,code",
+    [
+        (["gen", "-m", "4", "--family", "linear"], "", 0),
+        (["permute", "-m", "4", "--perm", "2,1,3,4"], FULL_4, 0),
+        (["matrix", "-m", "4", "--family", "linear"], "", 0),
+        (["rank-stats", "-m", "4", "-n", "10"], "", 0),
+        (["analyze", "-m", "4"], FULL_4, 0),
+        (["verify", "-m", "4"], FULL_4, 0),
+        (["verify", "-m", "1"], "0\n0\n", 1),
+    ],
+    ids=["gen", "permute", "matrix", "rank-stats", "analyze", "verify-pass", "verify-fail"],
+)
+def test_every_command_keeps_its_exit_code_when_the_reader_is_gone(argv, stdin, code):
+    # the read end closes before the child starts, so its first write meets a closed
+    # pipe however small the output: no race against a reader
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "addrseq.cli", *argv], input=stdin.encode(),
+                              stdout=write_end, stderr=subprocess.PIPE, env=child_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+
+
 # -- start-up ----------------------------------------------------------------------------
 
 # a spawn compiles every addrseq module it imports, and dataclasses pulls in

@@ -588,6 +588,12 @@ def test_permutation_count_values():
     assert abs(permutation_count(10).stirling - 3598695.6187410504) < 1e-6
 
 
+def test_stirling_past_the_float_range_is_inf_and_the_count_stays_exact():
+    # m! passes the largest float between m = 170 and m = 171
+    assert math.isfinite(permutation_count(170).stirling)
+    assert permutation_count(171) == (math.factorial(171), math.inf)
+
+
 @pytest.mark.parametrize("m", [1, 2, 5, 10, 20, 40, 64])
 def test_stirling_relative_error_bound(m):
     exact, approx = permutation_count(m)

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addrseq import FORMATS, SequenceParseError, format_lines, parse_lines
-from addrseq.cli import _write_words
-from addrseq.formats import _BLOCK, CSV_HEADER, detect_format
+from addrseq.cli import _write
+from addrseq.formats import _BLOCK, CSV_HEADER, _byte_blocks, detect_format
 
 import _line_format
 import _line_parser
@@ -349,7 +349,7 @@ def test_block_formatter_matches_the_line_formatter(case):
     assert list(format_lines(words, m, fmt)) == want
     out = io.StringIO()
     with redirect_stdout(out):
-        _write_words(iter(words), m, fmt)
+        _write(_byte_blocks(iter(words), m, fmt))
     assert out.getvalue() == "".join(line + "\n" for line in want)
 
 
@@ -374,7 +374,7 @@ def test_write_words_gives_the_same_text_with_or_without_a_buffer(fmt):
     text_only, binary = io.StringIO(), io.TextIOWrapper(io.BytesIO(), encoding="ascii")
     for stream in (text_only, binary):
         with redirect_stdout(stream):
-            _write_words(iter(words), 17, fmt)
+            _write(_byte_blocks(iter(words), 17, fmt))
     assert not hasattr(text_only, "buffer")
     assert binary.buffer.getvalue().decode() == text_only.getvalue()
     want = _line_format.format_lines(words, 17, fmt)

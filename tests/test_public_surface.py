@@ -197,6 +197,14 @@ NOT_INTS = [
     ("probability", addrseq.fullrank_probability, "m must be >= 1, got {}"),
     ("permutations", addrseq.permutation_count, "m must be >= 1, got {}"),
     ("max_r", lambda x: addrseq.analyze(range(16), 4, max_r=x), "max_r must be at least 1, got {}"),
+    ("word", lambda x: addrseq.BitVector(4, x), "word must be an int, got {}"),
+    ("a0", lambda x: addrseq.generate_recursive(_v(), a0=x), "word must be an int, got {}"),
+    ("selector", lambda x: addrseq.linear_combination(_v(), x), "word must be an int, got {}"),
+    ("matrix seed", lambda x: addrseq.random_fullrank_matrix(8, x), "seed must be an int, got {}"),
+    ("census seed", lambda x: addrseq.sampled_rank_counts(8, 50, x), "seed must be an int, got {}"),
+    ("gray perm", lambda x: addrseq.graycode_matrix(2, [2, x]), "perm must be a permutation of 1..2, got (2, {})"),
+    ("zero position", lambda x: addrseq.limited_matrix(4, [x, 2, 3]),
+     "zero positions must be distinct values in 1..4: ({}, 2, 3)"),
 ]
 
 
