@@ -149,7 +149,7 @@ def _cmd_gen(args) -> tuple[int, Iterable[bytes]]:
     from .generate import generate_direct, generate_down, generate_recursive, generate_shifted
     from .gf2 import GenerationMatrix
 
-    if args.matrix:
+    if args.matrix is not None:
         if args.seed is not None:
             raise ValueError("--seed is for --family random; a --matrix file takes no seed")
         matrix = GenerationMatrix.from_text(_read_text(args.matrix))

@@ -36,6 +36,9 @@ RANK_DEFICIT_LIMIT = 0.850179830874
 
 _M64 = (1 << 64) - 1
 _STAR = 0x2545F4914F6CDD1D  # xorshift64*'s output multiplier
+# per shift of the xorshift64* step (>> 12, << 25, >> 27), the bits it fills from within a
+# 64-bit state; times a lane marker, they keep each state lane of 64 bits or more to itself
+_SHIFT_MASKS = (_M64 >> 12, _M64 << 25 & _M64, _M64 >> 27)
 
 
 def _rotl(word: int, j: int, m: int) -> int:
@@ -174,7 +177,7 @@ class XorShift64Star:
         x = self._state
         out = []
         for _ in range(count):
-            x = _step(x, _M64)
+            x = _step(x, *_SHIFT_MASKS)
             out.append(x * _STAR & mask)
         self._state = x
         return out
@@ -233,13 +236,15 @@ def sampled_rank_counts(m: int, samples: int, seed: int = 0) -> dict[int, int]:
     The draw stream is cut into at most 1024 lane streams of
     ``rounds = ceil(samples / 1024)`` matrices each; only the last lane
     can hold fewer.  Lane k steps its own xorshift64* state, T^(k rounds m)
-    of the seeded one, reached by jump-ahead, in bits 128k..128k+63 of one
-    int, so each product with the draw constant stays under 2^128.  The
-    draws' low m bits move into lanes of w bits, the smallest of 8, 16,
-    32 and 64 that hold m, where row i of every matrix is one int, and
-    every big-int operation steps or eliminates a whole round.  The census
-    does not depend on the order of the samples, so it equals that of
-    drawing and ranking the matrices one by one.
+    of the seeded one, reached by jump-ahead, in state lane k of one int,
+    64 bits wide when 2m <= 64, else 128.  A draw's low m bits are the state's low
+    m bits times the draw constant's, mod 2^m, and that product stays
+    under 2^(2m), inside its lane.  The draws' low m bits move into lanes
+    of w bits, the smallest of 8, 16, 32 and 64 that hold m, where row i
+    of every matrix is one int; every big-int operation steps a whole
+    round or eliminates from one of its rows, in one pass over the rows
+    per column.  The census does not depend on the order of the samples,
+    so it equals that of drawing and ranking the matrices one by one.
     """
     _check_m(m)
     if samples.__class__ is not int or samples < 1:
@@ -250,9 +255,10 @@ def sampled_rank_counts(m: int, samples: int, seed: int = 0) -> dict[int, int]:
     jump, starts = _jump(rounds * m), [_seeded(seed)]
     for _ in range(lanes - 1):
         starts.append(_combine(jump, starts[-1]))
-    x = int.from_bytes(_packed(chain.from_iterable(zip(starts, repeat(0)))), "little")
-    lane = int.from_bytes((b"\1" + bytes(15)) * lanes, "little")
-    low, keep = lane * _M64, lane * ((1 << m) - 1)
+    unit = 8 if 2 * m <= 64 else 16  # bytes per state lane; a 16-byte lane's high half stays 0
+    x = int.from_bytes(_packed(chain.from_iterable(zip(starts, *[repeat(0)] * (unit // 8 - 1)))), "little")
+    lane = int.from_bytes((b"\1" + bytes(unit - 1)) * lanes, "little")
+    masks, keep, star = [lane * k for k in _SHIFT_MASKS], lane * ((1 << m) - 1), _STAR & ((1 << m) - 1)
     w = max(8, 1 << (m - 1).bit_length())
     size, code = w // 8, "BHIQ"[(w // 8).bit_length() - 1]
     ones = int.from_bytes((b"\1" + bytes(size - 1)) * lanes, "little")
@@ -261,20 +267,21 @@ def sampled_rank_counts(m: int, samples: int, seed: int = 0) -> dict[int, int]:
     for i in range(rounds):
         rows = []
         for _ in range(m):
-            x = _step(x, low)
-            draws = memoryview((x * _STAR & keep).to_bytes(16 * lanes, "little"))
-            rows.append(int.from_bytes(draws.cast(code)[:: 16 // size], "little"))
-        # column c: in each lane the first row with bit c set is the pivot, and its bits
-        # c..w-1 are XORed into every row with bit c set; `spread` copies bit c up to w-1
+            x = _step(x, *masks)
+            draws = memoryview(((x & keep) * star & keep).to_bytes(unit * lanes, "little"))
+            rows.append(int.from_bytes(draws.cast(code)[:: unit // size], "little"))
+        # column c in one pass: in each lane the first row with bit c set is the pivot, and its
+        # bits c..w-1 (`spread` copies bit c up to w-1) go into every row with bit c, itself too
         ranks = 0
         for c in range(m):
             bit, spread = ones << c, (1 << (w - c)) - 1
             free, pivot = full, 0
-            for r in rows:
-                sel = (r & bit) * spread & free
+            for j, r in enumerate(rows):
+                t = (r & bit) * spread
+                sel = t & free
                 free ^= sel
-                pivot ^= r & sel
-            rows = [r ^ (r & bit) * spread & pivot for r in rows]
+                pivot |= r & sel
+                rows[j] = r ^ t & pivot
             ranks += (free & bit ^ bit) >> c
         lane_ranks = ranks.to_bytes(size * lanes, "little")[::size][: lanes if i < short else -1]
         for r in range(m + 1):
@@ -282,20 +289,21 @@ def sampled_rank_counts(m: int, samples: int, seed: int = 0) -> dict[int, int]:
     return counts
 
 
-def _step(x: int, low: int) -> int:
-    # one xorshift64* state step of every 64-bit lane of `x` that `low` keeps
-    x ^= x >> 12 & low
-    x ^= x << 25 & low
-    return x ^ (x >> 27 & low)
+def _step(x: int, right12: int, left25: int, right27: int) -> int:
+    # one xorshift64* state step of every state lane of `x`, given `_SHIFT_MASKS` per lane
+    x ^= x >> 12 & right12
+    x ^= x << 25 & left25
+    return x ^ (x >> 27 & right27)
 
 
 def _jump(draws: int) -> tuple[list[int], ...]:
     # byte tables of T^draws, the state `draws` xorshift64* steps on: the 64 unit states,
-    # one per 128-bit lane, stepped together; row i, the image of bit i, is lane i's low 64 bits
-    x, low = sum(1 << 129 * i for i in range(64)), sum(_M64 << 128 * i for i in range(64))
+    # one per 64-bit lane, stepped together; row i, the image of bit i, is lane i
+    x, lane = sum(1 << 65 * i for i in range(64)), sum(1 << 64 * i for i in range(64))
+    masks = [lane * k for k in _SHIFT_MASKS]
     for _ in range(draws):
-        x = _step(x, low)
-    return _tables_of([x >> 128 * i & _M64 for i in range(64)])
+        x = _step(x, *masks)
+    return _tables_of([x >> 64 * i & _M64 for i in range(64)])
 
 
 def _rank_summary(counts: dict[int, int], m: int) -> tuple[int, int, float, float]:

@@ -31,6 +31,8 @@ def gray_value(n: int) -> int:
 
 def _word(value: BitsLike) -> int:
     # a BitVector is an index too; operator.index refuses floats, which int() would truncate
+    if value.__class__ is bool:  # operator.index reads True as 1
+        raise TypeError(f"a gray word must not be a bool, got {value!r}")
     return operator.index(BitVector.from_string(value) if isinstance(value, str) else value)
 
 

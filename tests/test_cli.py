@@ -230,6 +230,14 @@ def test_gen_matrix_file_wider_than_64_states_the_width_rule(capsys, tmp_path):
     assert (code, out, err) == (2, "", "addrseq: m must be in 1..64, got 65\n")
 
 
+def test_gen_with_an_empty_matrix_path_reads_that_path(capsys):
+    # an empty path once read as "no --matrix" and fell through to the family, which is
+    # None, ending in an AttributeError traceback
+    code, out, err = run_cli(capsys, "gen", "--matrix", "", "-m", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("addrseq: ") and err.endswith("\n") and err.count("\n") == 1
+
+
 def test_gen_flag_conflicts(capsys, worked_file):
     code, _, err = run_cli(capsys, "gen", "--matrix", worked_file, "--shift", "3", "--b0", "1")
     assert code == 2
@@ -763,6 +771,23 @@ RANK_STATS_GOLDEN = {
         "seed=3\n"
         "mc_fullrank_rate=0.284\n"
         "mc_expected_rank_deficit=0.842\n"
+    ),
+    # ten rounds on 64-bit state lanes, and three on 128-bit ones
+    ("-m", "32", "-n", "10000", "--seed", "1"): (
+        "m=32\n"
+        "analytic_fullrank_probability=0.2887880951538\n"
+        "samples=10000\n"
+        "seed=1\n"
+        "mc_fullrank_rate=0.2879\n"
+        "mc_expected_rank_deficit=0.8474\n"
+    ),
+    ("-m", "64", "-n", "3000", "--seed", "5"): (
+        "m=64\n"
+        "analytic_fullrank_probability=0.2887880950866\n"
+        "samples=3000\n"
+        "seed=5\n"
+        "mc_fullrank_rate=0.2826666666666667\n"
+        "mc_expected_rank_deficit=0.8533333333333334\n"
     ),
 }
 

@@ -372,6 +372,18 @@ def test_lane_sampler_matches_the_reference_at_every_lane_width(m, samples):
     assert sampled_rank_counts(m, samples, m) == reference_census(m, samples, m)
 
 
+# the state lanes are 64 bits wide up to m = 32 and 128 bits from m = 33: both sides of that
+# edge, in one round, in a full round and in rounds whose last lane runs short
+@settings(max_examples=8, deadline=None)
+@given(
+    m=st.sampled_from([31, 32, 33]),
+    samples=st.sampled_from([1, B - 1, B + 1, 2 * B + 3]) | st.integers(1, 3 * B),
+    seed=st.integers(-(1 << 65), 1 << 65),
+)
+def test_lane_sampler_matches_the_reference_at_the_state_lane_edge(m, samples, seed):
+    assert sampled_rank_counts(m, samples, seed) == reference_census(m, samples, seed)
+
+
 _INVERSE = pow(0x2545F4914F6CDD1D, -1, 1 << 64)
 
 

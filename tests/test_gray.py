@@ -70,6 +70,13 @@ def test_switching_index_rejects_floats():
         switching_index(4, 6.0)
 
 
+@pytest.mark.parametrize("prev,cur", [(True, 0), (2, True)])
+def test_switching_index_rejects_bools(prev, cur):
+    # operator.index reads True as 1, so (True, 0) once answered 1
+    with pytest.raises(TypeError, match="must not be a bool"):
+        switching_index(prev, cur)
+
+
 def test_switching_index_rejects_non_adjacent_pairs():
     with pytest.raises(ValueError, match="not adjacent"):
         switching_index(0b0000, 0b0011)
