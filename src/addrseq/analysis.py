@@ -43,7 +43,7 @@ def _as_words(seq: Iterable[int], m: int, count_ones: bool = False) -> tuple[lis
     _check_m(m)
     # operator.index refuses floats and strings, which int() would truncate or read as decimal
     words = list(map(operator.index, seq))
-    blocks, ones = (buf for _, buf in _checked_blocks(words, m)), [0] * m
+    blocks, ones = _checked_blocks(words, m), [0] * m
     if not count_ones:
         deque(blocks, maxlen=0)
     else:

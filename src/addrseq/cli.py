@@ -175,7 +175,7 @@ def _cmd_gen(args) -> tuple[int, Iterable[bytes]]:
         stream = generate_down(matrix, args.a0 or 0, args.b0 or 0, args.count)
     else:
         stream = generate_recursive(matrix, args.a0 or 0, args.b0 or 0, args.count)
-    return 0, _byte_blocks(stream.words(), matrix.m, args.format)
+    return 0, _byte_blocks(stream._packed_blocks(), matrix.m, args.format)
 
 
 def _cmd_matrix(args) -> tuple[int, Iterable[bytes]]:
@@ -243,7 +243,7 @@ def _cmd_permute(args) -> tuple[int, Iterable[bytes]]:
         raise ValueError(f"--perm expects a comma list of positions, got {args.perm!r}") from None
     words = parse_lines(_split_lines(_read_text(args.input)), args.m, args.in_format)
     stream = permute_address_bits(AddressStream(args.m, len(words), iter(words)), perm)
-    return 0, _byte_blocks(stream.words(), args.m, args.format)
+    return 0, _byte_blocks(stream._packed_blocks(), args.m, args.format)
 
 
 _HANDLERS = {

@@ -23,12 +23,11 @@ and address-bit permutation of an existing stream.
 from __future__ import annotations
 
 import math
-from functools import partial
 from itertools import chain, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, _tables_of, as_bitvector, rank_of_words
-from .formats import _SPACE, _ascii_int, _check_m, _checked_blocks, _packed
+from .formats import _SPACE, _ascii_int, _check_m, _packed, _unpacked
 from .generate import AddressStream
 
 FULLRANK_LIMIT = 0.2887880950866  # limit of prod(1 - 2^-i) as m grows
@@ -361,16 +360,19 @@ def permute_address_bits(stream: AddressStream, perm: Sequence[int]) -> AddressS
     is read, a word that is not an int raises TypeError and one outside
     0..2^m - 1 raises ValueError, as `format_lines` does.
     """
-    m = stream.m
-    perm = _check_perm(perm, m)
-    # input bit s moves to output bit k: a GF(2) linear map, whose row s is 1 << k,
-    # applied to each word by the map's byte tables
-    rows = [0] * m
-    for k, p in enumerate(perm):
-        rows[p - 1] = 1 << k
-    tables = _tables_of(rows)
-    words = chain.from_iterable(block for block, _ in _checked_blocks(stream.words(), m))
-    return AddressStream(m, stream.count, map(partial(_combine, tables), words))
+    perm = _check_perm(perm, stream.m)
+
+    def blocks(packed: bool = False) -> Iterator[list[int] | bytes]:
+        # output bit k of every word of a block at once: a 1 in each 64-bit lane, `ones`,
+        # picks input bit perm[k-1] of each word, to be shifted to bit k
+        for buf in stream._packed_blocks():
+            x, ones = (int.from_bytes(b, "little") for b in (buf, _packed([1] * (len(buf) // 8))))
+            out = sum((x >> (p - 1) & ones) << k for k, p in enumerate(perm)).to_bytes(len(buf), "little")
+            yield out if packed else _unpacked(out)
+
+    permuted = AddressStream(stream.m, stream.count, iter(()))
+    permuted._blocks = blocks
+    return permuted
 
 
 class PermutationCount(NamedTuple):

@@ -26,10 +26,11 @@ output always round-trips.
 Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, in sequence and matrix
 text alike.
 
-Formatting renders a block of words into one bytes object a column at a
-time: bin and hex from the byte lanes of the packed words, dec and csv
-with one ``%`` template per block.  The CLI writes each block with one
-call.
+Formatting takes blocks of packed 64-bit words, the generator's own or
+those `_checked_blocks` packs and checks, and renders each into one bytes
+object a column at a time: bin and hex from the byte lanes, dec by one
+``%`` template, csv by one with its bin digits in place and distances
+from one XOR of the block with itself a word up.
 
 The parser takes the whole input at once: the set of token lengths,
 ``bytes.translate`` character classes, ``map(int)`` and ``max()``.  Only
@@ -41,9 +42,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import cache, cached_property, partial
-from itertools import chain, compress, count, islice, repeat
-from operator import not_, xor
+from functools import cached_property, partial
+from itertools import compress, count, islice, repeat
+from operator import not_
 from typing import Callable, Iterable, Iterator
 
 FORMATS = ("bin", "dec", "hex", "csv")
@@ -96,7 +97,7 @@ def format_lines(words: Iterable[int], m: int, fmt: str = "bin") -> Iterator[str
     outside 0..2^m - 1 raises ValueError, rather than print as a wrong
     line.
     """
-    for text in _byte_blocks(words, m, fmt):
+    for text in _byte_blocks(_checked_blocks(words, m), m, fmt):
         yield from text.decode().splitlines()
 
 
@@ -113,17 +114,18 @@ def _packed(words: Iterable[int]) -> bytes:
     return packed.tobytes()
 
 
-@cache
-def _high_bits(m: int) -> int:
-    # the bits at or above m of _BLOCK packed words
-    return int.from_bytes(_packed([(1 << 64) - (1 << m)] * _BLOCK), "little")
+def _unpacked(buf: bytes) -> list[int]:
+    # the words `_packed` put in `buf`: its inverse, on a host of either byte order
+    words = array("Q", buf)
+    if sys.byteorder != "little":
+        words.byteswap()
+    return words.tolist()
 
 
-def _checked_blocks(words: Iterable[int], m: int) -> Iterator[tuple[list[int], bytes]]:
-    """`words` in blocks of at most _BLOCK, each with its `_packed` words: the word-range rule.
+def _checked_blocks(words: Iterable[int], m: int) -> Iterator[bytes]:
+    """`words` `_packed` in blocks of at most _BLOCK: the word-range rule.
 
-    A word that is not an int raises TypeError, and one outside
-    0..2^m - 1 raises ValueError; each block's range is tested with one AND.
+    A word that is not an int raises TypeError, one outside 0..2^m - 1 ValueError.
     """
     words = iter(words)
     while block := list(islice(words, _BLOCK)):
@@ -131,13 +133,14 @@ def _checked_blocks(words: Iterable[int], m: int) -> Iterator[tuple[list[int], b
             buf = _packed(block)
         except OverflowError:
             buf = None
-        if buf is None or int.from_bytes(buf, "little") & _high_bits(m):
+        if buf is None or max(block) >> m:
             raise ValueError(f"value out of range for {m} bits")
-        yield block, buf
+        yield buf
 
 
 # _DIGIT[j] translates a byte to the ASCII digit of its bit j, which runs 2^j zeros, 2^j ones
 _DIGIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
+_ONES = bytes(map(int.bit_count, range(256)))  # translates a byte to its count of ones
 
 
 def _bit_columns(buf: bytes, m: int) -> Iterator[bytes]:
@@ -153,62 +156,51 @@ def _bit_columns(buf: bytes, m: int) -> Iterator[bytes]:
             yield lane.translate(_DIGIT[j])
 
 
-def _byte_blocks(words: Iterable[int], m: int, fmt: str) -> Iterator[bytes]:
-    """The lines of `words` in `fmt`, as one newline-ended bytes object per block of words.
+def _byte_blocks(blocks: Iterable[bytes], m: int, fmt: str) -> Iterator[bytes]:
+    """The lines of the words in `blocks`, each `_packed` and in range, as one bytes object per block.
 
-    Each block is built a column at a time, with no Python call per word:
-    bin places the digit columns of the bits, hex slices the digit
-    columns out of one ``hex()`` of the block, and dec and csv fill one
-    ``%`` template per block.  csv's header comes first, on its own; its
-    row numbers and distances run on across blocks.
+    Each block is built a column at a time, with no Python call per word.
+    csv's header comes first, on its own; its row numbers and distances
+    run on across blocks.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
     _check_m(m)
-    blocks = _checked_blocks(words, m)
     if fmt == "bin":
-        for block, buf in blocks:
-            yield _bin_columns(buf, len(block), m)
+        for buf in blocks:
+            yield _columns(_bit_columns(buf, m), len(buf) // 8, b"", m, b"\n")
     elif fmt == "hex":
-        for block, buf in blocks:
-            yield _hex_columns(buf, len(block), (m + 3) // 4)
+        d = (m + 3) // 4
+        for buf in blocks:
+            # each word is 16 hex digits, two per byte, high nibble first: nibble p is digit p ^ 1
+            digits = buf.hex().encode()
+            yield _columns((digits[p ^ 1 :: 16] for p in range(d)), len(buf) // 8, b"", d, b"\n")
     elif fmt == "dec":
-        for block, _ in blocks:
-            yield (b"%d\n" * len(block)) % tuple(block)
+        for buf in blocks:
+            yield (b"%d\n" * (len(buf) // 8)) % tuple(_unpacked(buf))
     else:
         yield CSV_HEADER.encode() + b"\n"
-        row, prev = 0, None
-        for block, buf in blocks:
-            n = len(block)
-            bins = _bin_columns(buf, n, m).split(b"\n")
-            before = chain((block[0] if prev is None else prev,), block)
-            dists = map(int.bit_count, map(xor, before, block))
-            text = (b"%d,%d,%s,%d\n" * n) % tuple(
-                chain.from_iterable(zip(range(row, row + n), block, bins, dists))
-            )
-            if prev is None:  # the first row has no distance: drop its 0
-                end = text.index(b"\n")
-                text = text[: end - 1] + text[end:]
-            yield text
-            row, prev = row + n, block[-1]
+        row = prev = 0
+        for buf in blocks:
+            n, block = len(buf) // 8, int.from_bytes(buf, "little")
+            # each word's distance to the one before (the first's to itself, a 0 dropped below): the
+            # ones per byte of the XOR with the block a lane up, summed over byte lanes as ints
+            prev = prev if row else block & ((1 << 64) - 1)
+            ones = (block ^ (block << 64 | prev)).to_bytes(8 * n + 8, "little").translate(_ONES)
+            dists = sum(int.from_bytes(ones[k : 8 * n : 8], "little") for k in range((m + 7) // 8))
+            v = [0] * (3 * n)  # the row number, word and distance of each row, in turn
+            v[::3], v[1::3], v[2::3] = range(row, row + n), _unpacked(buf), dists.to_bytes(n, "little")
+            text = _columns(_bit_columns(buf, m), n, b"%d,%d,", m, b",%d\n") % tuple(v)
+            yield text.replace(b",0\n", b",\n", 1) if row == 0 else text
+            row, prev = row + n, block >> (64 * n - 64)
 
 
-def _bin_columns(buf: bytes, n: int, m: int) -> bytearray:
-    # bit b of every word is one digit column, assigned with a stride
-    out = bytearray(n * (m + 1))
-    for b, column in enumerate(_bit_columns(buf, m)):
-        out[m - 1 - b :: m + 1] = column
-    out[m :: m + 1] = b"\n" * n
-    return out
-
-
-def _hex_columns(buf: bytes, n: int, d: int) -> bytearray:
-    # each word is 16 hex digits, two per byte, high nibble first: nibble p is digit p ^ 1;
-    # column j of d is nibble d - 1 - j
-    digits, out = buf.hex().encode(), bytearray(n * (d + 1))
-    for j in range(d):
-        out[j :: d + 1] = digits[(d - 1 - j) ^ 1 :: 16]
-    out[d :: d + 1] = b"\n" * n
+def _columns(columns: Iterable[bytes], n: int, head: bytes, d: int, tail: bytes) -> bytearray:
+    # n rows of `head`, d digits and `tail`, a digit column, last digit first, per stride
+    width = len(head) + d + len(tail)
+    out = bytearray(head + bytes(d) + tail) * n
+    for j, column in enumerate(columns):
+        out[len(head) + d - 1 - j :: width] = column
     return out
 
 

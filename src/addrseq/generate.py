@@ -34,7 +34,9 @@ and, for ``V`` and ``D`` each, ceil(m/8) tables of 256 words, table j
 holding every combination of rows 8j..8j+7.  They are built on the first
 run that needs them, so any later run over the same matrix costs only
 its addresses: ``combine`` is ceil(m/8) lookups, and a run of at most
-256 addresses takes its words straight from table 0.
+256 addresses takes its words straight from table 0.  A longer run goes
+1024 words a block, as a list of ints for `words()`, or for the CLI as
+packed 64-bit words, one big-int XOR per block with no word gate.
 
 Every full-length run over a full-rank matrix visits each of the ``2^m``
 addresses exactly once, for any choice of initial address and initial
@@ -46,35 +48,41 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator, Sequence
 
+from .formats import _BLOCK, _checked_blocks, _packed
 from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, _Value, as_bitvector
-
-_BLOCK_BITS = 12  # a long run's block table and each of its blocks hold at most 2^12 words
 
 
 def _affine_blocks(
-    tables: Sequence[Sequence[int]], m: int, const: int, start: int, count: int
-) -> Iterator[list[int]]:
-    """Yield ``const ^ combine(basis, (start + n) mod 2^m)`` for ``n < count``, one list per block.
+    tables: Sequence[Sequence[int]], m: int, const: int, start: int, count: int, packed: bool = False
+) -> Iterator[list[int]] | Iterator[bytes]:
+    """Yield ``const ^ combine(basis, (start + n) mod 2^m)`` for ``n < count``, a block at a time.
 
     `tables` are the basis's 8-bit combine tables.  Each aligned block of
-    the counter costs one row combination for its high bits and one list
-    of XORs over a table of its low bits: table 0 itself for a run that
-    fits in it, else a table of up to 2^12 words built from tables 0 and
-    1 (8-bit blocks drain a long run about 25 % slower).  Blocks never
-    straddle the 2^m wrap, because a block's length divides 2^m.
+    the counter costs one row combination for its high bits and one XOR
+    of it onto a table of its low bits: table 0 itself for a run that
+    fits in it, else a table of up to _BLOCK words built from tables 0
+    and 1.  A block is a list of ints, or with `packed` the `_packed`
+    words: ``high * rep`` repeats ``high`` in every 64-bit lane, with no
+    carry, to XOR onto the table packed once.  Blocks never straddle the
+    2^m wrap, because a block's length divides 2^m.
     """
     table = tables[0]
     if count > len(table):
-        size = 1 << min(_BLOCK_BITS, (count - 1).bit_length())
+        size = min(_BLOCK, 1 << (count - 1).bit_length())
         table = [high ^ t for high in tables[1][: size // len(table)] for t in table]
     low_mask = len(table) - 1
+    if packed:
+        T, rep = (int.from_bytes(_packed(words), "little") for words in (table, [1] * len(table)))
     mask = (1 << m) - 1
     c = start & mask
     while count > 0:
         lo = c & low_mask
         take = min(low_mask + 1 - lo, count)
         high = const ^ _combine(tables, c - lo)
-        yield [high ^ t for t in table[lo : lo + take]]
+        if packed:
+            yield (T ^ high * rep).to_bytes(8 * len(table), "little")[8 * lo : 8 * (lo + take)]
+        else:
+            yield [high ^ t for t in table[lo : lo + take]]
         count -= take
         c = (c + take) & mask
 
@@ -140,22 +148,30 @@ class AddressStream:
     """
 
     def __init__(self, m: int, count: int, word_iter: Iterator[int]):
-        self.m = m
-        self.count = count
-        self._word_iter = word_iter
+        self.m, self.count, self._word_iter = m, count, word_iter
+        self._blocks = None  # until read, a source may give the words as `_affine_blocks` does
 
     def __iter__(self) -> "AddressStream":
         return self
 
     def __next__(self) -> BitVector:
-        return BitVector(self.m, next(self._word_iter))
+        return BitVector(self.m, next(self.words()))
 
     def words(self) -> Iterator[int]:
+        if self._blocks is not None:
+            self._word_iter, self._blocks = chain.from_iterable(self._blocks()), None
         return self._word_iter
+
+    def _packed_blocks(self) -> Iterator[bytes]:
+        # the remaining words `_packed`: `_blocks`' own, else through the word gate
+        blocks, self._blocks = self._blocks, None
+        return _checked_blocks(self.words(), self.m) if blocks is None else blocks(packed=True)
 
 
 def _stream(tables: Sequence[Sequence[int]], m: int, const: int, start: int, count: int) -> AddressStream:
-    return AddressStream(m, count, chain.from_iterable(_affine_blocks(tables, m, const, start, count)))
+    stream = AddressStream(m, count, iter(()))
+    stream._blocks = lambda packed=False: _affine_blocks(tables, m, const, start, count, packed)
+    return stream
 
 
 def generate_direct(matrix: GenerationMatrix, count: int | None = None) -> AddressStream:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import random
@@ -278,6 +279,32 @@ def test_gen_requires_exactly_one_source(capsys, worked_file):
         main(["gen", "-m", "4", "--family", "linear", "--matrix", worked_file])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# sha256 of `gen --family random:1` output in the four variants the benchmark times, at
+# m = 12 and m = 17, so that any byte a faster formatter changes shows
+GEN_GOLDEN = {
+    ("-m", "12"): "f43c0151ede6efc1198d982a95085b315ee5fd9a5633876fa3daec8e1871e699",
+    ("-m", "12", "--down", "--a0", "0x5a3", "--b0", "0x1c7", "--format", "hex"):
+        "575014e4f4d692bb1bfcef59facb783d243ff9e48de4f8f3d76f919543dcaa53",
+    ("-m", "12", "--shift", "1234", "--format", "dec"):
+        "c17651199c52d9f05b37d3ddd8f373f7778dae0b814c14444f5a234a5ea9afd9",
+    ("-m", "12", "--engine", "direct", "--format", "csv"):
+        "41d8ed06281b7c98c6e53a92a19328e37816d26100ffb6774c3af8b20c0cfcd9",
+    ("-m", "17"): "a30086c5f99dcbca1b894cceead72ef61149436bdeb96e2cfe49be92d6a6d34e",
+    ("-m", "17", "--down", "--a0", "0x1b2c3", "--b0", "0x0d4e5", "--format", "hex"):
+        "166ab419f0318796a438eb2320f87118394d4baafd0d2bc0f0169ede43e4fd8b",
+    ("-m", "17", "--shift", "98765", "--format", "dec"):
+        "e96cb02348de9aecabe1cc6a4efdfee58d51a38e88017450ca52801133f8f531",
+    ("-m", "17", "--engine", "direct", "--format", "csv"):
+        "d02d2094beedbed90b7d03922e7f75fc6b01f8df6a48a2ff7013de81f57558be",
+}
+
+
+@pytest.mark.parametrize("args", list(GEN_GOLDEN), ids=" ".join)
+def test_gen_output_is_pinned(capsys, args):
+    code, out, err = run_cli(capsys, "gen", "--family", "random:1", *args)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, GEN_GOLDEN[args], "")
 
 
 # -- matrix -------------------------------------------------------------------------

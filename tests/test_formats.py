@@ -1,6 +1,7 @@
 import io
 import random
 import re
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from addrseq import FORMATS, SequenceParseError, format_lines, parse_lines
 from addrseq.cli import _write
-from addrseq.formats import _BLOCK, CSV_HEADER, _byte_blocks, detect_format
+from addrseq.formats import (
+    _BLOCK, CSV_HEADER, _byte_blocks, _checked_blocks, _packed, _unpacked, detect_format,
+)
 
 import _line_format
 import _line_parser
@@ -349,8 +352,19 @@ def test_block_formatter_matches_the_line_formatter(case):
     assert list(format_lines(words, m, fmt)) == want
     out = io.StringIO()
     with redirect_stdout(out):
-        _write(_byte_blocks(iter(words), m, fmt))
+        _write(_byte_blocks(_checked_blocks(words, m), m, fmt))
     assert out.getvalue() == "".join(line + "\n" for line in want)
+
+
+def test_packed_words_read_back_on_a_host_of_either_byte_order(monkeypatch):
+    words = [0, 1, 0x0102030405060708, 1 << 63, (1 << 64) - 1]
+    assert _packed(words) == b"".join(w.to_bytes(8, "little") for w in words)
+    assert _unpacked(_packed(words)) == words
+    # told the host is the other way round, both sides swap, and still agree
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(sys, "byteorder", other)
+    assert _packed(words) == b"".join(w.to_bytes(8, other) for w in words)
+    assert _unpacked(_packed(words)) == words
 
 
 def test_csv_rows_run_on_across_blocks():
@@ -374,7 +388,7 @@ def test_write_words_gives_the_same_text_with_or_without_a_buffer(fmt):
     text_only, binary = io.StringIO(), io.TextIOWrapper(io.BytesIO(), encoding="ascii")
     for stream in (text_only, binary):
         with redirect_stdout(stream):
-            _write(_byte_blocks(iter(words), 17, fmt))
+            _write(_byte_blocks(_checked_blocks(words, 17), 17, fmt))
     assert not hasattr(text_only, "buffer")
     assert binary.buffer.getvalue().decode() == text_only.getvalue()
     want = _line_format.format_lines(words, 17, fmt)

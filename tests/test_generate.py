@@ -2,7 +2,7 @@ from itertools import accumulate
 from operator import xor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addrseq import (
@@ -21,7 +21,9 @@ from addrseq import (
     random_fullrank_matrix,
     verify_complete,
 )
+from addrseq.formats import _BLOCK, FORMATS, _byte_blocks, _packed, _unpacked
 
+import _line_format
 from _stepper import gray_address, step_words
 from _tables import (
     TABLE_B0_3,
@@ -233,8 +235,8 @@ def test_full_runs_cover_the_address_space(m):
 
 @st.composite
 def engine_cases(draw):
-    """A matrix, a0, counter starts and a count: full periods up to m = 10, else
-    partial runs whose counters may cross a 2^8 or 2^12 block boundary or the 2^m wrap."""
+    """A matrix, a0, counter starts and a count: full periods up to m = 10, else partial
+    runs whose counters may cross a 2^8 or a kernel block boundary or the 2^m wrap."""
     m = draw(st.integers(1, 64))
     full = 1 << m
     V = random_fullrank_matrix(m, seed=draw(st.integers(0, 2**32)))
@@ -246,7 +248,7 @@ def engine_cases(draw):
         near = [
             r - 1,  # a down-run's counter, -b0, wraps
             full - r,  # an up-run's counter wraps
-            (draw(st.integers(1, 1 << 52)) << 12) - r,  # just below a 2^12 block boundary
+            draw(st.integers(1, 1 << 54)) * _BLOCK - r,  # just below a kernel block boundary
             (draw(st.integers(1, 1 << 56)) << 8) - r,  # just below a 2^8 block boundary
         ]
         return draw(st.sampled_from([draw(st.integers(0, full - 1)), *near])) % full
@@ -254,25 +256,55 @@ def engine_cases(draw):
     return V, m, draw(st.integers(0, full - 1)), counter(), counter(), count
 
 
+def engine_runs(case):
+    """A maker of each engine's stream for `case`, with the words the stepper gives for it."""
+    V, m, a0, b0, shift, count = case
+    rows = V.row_words
+    return [
+        (lambda: generate_direct(V, count), step_words(list(accumulate(rows, xor)), m, count=count)),
+        (lambda: generate_recursive(V, a0, b0, count), step_words(rows, m, a0, b0, count)),
+        (lambda: generate_down(V, a0, b0, count), step_words(rows, m, a0, b0, count, down=True)),
+        (lambda: generate_shifted(V, shift, count),
+         step_words(rows, m, gray_address(rows, shift), shift, count)),
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(engine_cases())
+# full periods across the 2^m wrap, longer than a block, and a partial run over several
+# blocks whose counters start just below a block boundary and the wrap
+@example((random_fullrank_matrix(12, seed=1), 12, 5, 4000, 4090, 4096))
+@example((random_fullrank_matrix(20, seed=2), 20, 7, (1 << 20) - 700, 5 * _BLOCK - 3, 2500))
 def test_every_engine_matches_the_stepper(case):
     V, m, a0, b0, shift, count = case
     full = 1 << m
-    rows = V.row_words
-    assert run(generate_direct(V, count)) == step_words(list(accumulate(rows, xor)), m, count=count)
-    up = step_words(rows, m, a0, b0, count)
-    assert run(generate_recursive(V, a0, b0, count)) == up
-    down = step_words(rows, m, a0, b0, count, down=True)
-    assert run(generate_down(V, a0, b0, count)) == down
-    shifted = step_words(rows, m, gray_address(rows, shift), shift, count)
-    assert run(generate_shifted(V, shift, count)) == shifted
+    runs = engine_runs(case)
+    for make, words in runs:
+        assert run(make()) == words
+        # the packed blocks `gen` formats give the stepper's lines in every format
+        for fmt in FORMATS:
+            text = b"".join(_byte_blocks(make()._packed_blocks(), m, fmt)).decode()
+            assert text == "".join(line + "\n" for line in _line_format.format_lines(words, m, fmt))
+    (_, up), (_, down), (_, shifted) = runs[1:]
     if count == full:
         assert down == up[::-1]
-        assert [address_at(V, p).word for p in range(full)] == step_words(rows, m)
+        assert [address_at(V, p).word for p in range(full)] == step_words(V.row_words, m)
     else:
         assert address_at(V, shift).word == shifted[0]
         assert address_at(V, (shift + count - 1) % full).word == shifted[-1]
+
+
+def test_a_stream_gives_its_words_once_as_ints_or_packed():
+    V = random_fullrank_matrix(12, seed=5)
+    want = run(generate_recursive(V, 3, 9))
+    stream = generate_recursive(V, 3, 9)
+    assert b"".join(stream._packed_blocks()) == _packed(want)
+    assert run(stream) == []
+    # once read as ints, the rest comes packed through the word gate
+    stream = generate_recursive(V, 3, 9)
+    first = next(stream).word
+    assert [first, *_unpacked(b"".join(stream._packed_blocks()))] == want
+    assert list(stream._packed_blocks()) == []
 
 
 def test_runs_on_one_matrix_do_not_disturb_each_other():
