@@ -26,35 +26,41 @@ from __future__ import annotations
 import operator
 from collections import deque
 from itertools import count, islice, repeat
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .formats import _bit_columns, _check_m, _checked_blocks, _packed
-from .gf2 import BitVector
+from .formats import _BLOCK, _bit_columns, _check_m, _checked_blocks, _diffs
+
+if TYPE_CHECKING:  # gf2 is loaded only when a report names a word
+    from .gf2 import BitVector
+
+_CHUNK = 8 * _BLOCK  # words per packed chunk of the fold, so its big-int temporaries stay at 64 KB
 
 
 class IncompleteSequenceError(ValueError):
     """Balance checks require a complete sequence (see verify_complete)."""
 
 
-def _as_words(seq: Iterable[int], m: int, count_ones: bool = False) -> tuple[list[int], list[int]]:
-    # the words, held to the word-range rule of `_checked_blocks`, and with `count_ones` the
-    # ones of each bit position, counted from the gate's packed blocks 64 blocks (512 KB) at
-    # a time, since a count per 1024-word block costs about three times as much
+def _as_words(seq: Iterable[int], m: int) -> tuple[list[int], Iterator[bytes]]:
+    # the words, and the gate: it yields them `_packed`, _CHUNK at a time, and holds them to the
+    # word-range rule of `_checked_blocks` as it goes, so a caller reads it through first
     _check_m(m)
     # operator.index refuses floats and strings, which int() would truncate or read as decimal
     words = list(map(operator.index, seq))
-    blocks, ones = _checked_blocks(words, m), [0] * m
-    if not count_ones:
-        deque(blocks, maxlen=0)
-    else:
-        while packed := b"".join(islice(blocks, 64)):
-            ones = list(map(operator.add, ones, _bit_counts(packed, m)))
-    return words, ones
+    blocks = _checked_blocks(words, m)
+    return words, iter(lambda: b"".join(islice(blocks, _CHUNK // _BLOCK)), b"")
 
 
-def _bit_counts(buf: bytes, m: int) -> list[int]:
-    # ones per bit position (index 0 is the LSB) of the words `_packed` put in `buf`
-    return [column.count(b"1") for column in _bit_columns(buf, m)]
+def _fold(chunks: Iterable[bytes], m: int) -> tuple[list[int], bytearray, list[int]]:
+    # per-bit ones (index 0 is the LSB), a byte per distance and per-bit transitions of the words
+    # in packed `chunks`, each XORed with itself a word up, the last word before it carried in
+    ones, distances, transitions, prev = [0] * m, bytearray(), [0] * m, b""
+    for chunk in chunks:
+        diffs, dists = _diffs(chunk, prev or chunk[:8], m)  # the first word's own: a 0, dropped
+        for tally, buf in ((ones, chunk), (transitions, diffs)):
+            tally[:] = map(operator.add, tally, [column.count(b"1") for column in _bit_columns(buf, m)])
+        distances += dists
+        prev = chunk[-8:]
+    return ones, distances[1:], transitions
 
 
 class Completeness(NamedTuple):
@@ -76,7 +82,9 @@ def check_completeness(words: Iterable[int], m: int) -> Completeness:
     a set of the words otherwise, so short sequences over wide address
     spaces stay cheap at any m.
     """
-    return _completeness(_as_words(words, m)[0], m)
+    words, gate = _as_words(words, m)
+    deque(gate, maxlen=0)
+    return _completeness(words, m)
 
 
 def _completeness(words: list[int], m: int) -> Completeness:
@@ -94,12 +102,15 @@ def _completeness(words: list[int], m: int) -> Completeness:
     if len(words) > distinct:  # some word repeats: its first sighting clears its entry
         for w in words:
             if not seen[w]:
-                first_dup = BitVector(m, w)
+                first_dup = w
                 break
             seen[w] = 0
-    first_missing = BitVector(m, missing) if missing >= 0 else None
-    complete = len(words) == full and distinct == full
-    return Completeness(complete, m, len(words), distinct, first_dup, first_missing)
+    if len(words) == full and distinct == full:
+        return Completeness(True, m, full, full)
+    from .gf2 import BitVector  # loaded only when the report names a word
+
+    dup, missing = (None if w is None or w < 0 else BitVector(m, w) for w in (first_dup, missing))
+    return Completeness(False, m, len(words), distinct, dup, missing)
 
 
 def verify_complete(words: Iterable[int], m: int) -> bool:
@@ -107,10 +118,10 @@ def verify_complete(words: Iterable[int], m: int) -> bool:
     return check_completeness(words, m).complete
 
 
-def _require_complete(
-    seq: Iterable[int], m: int, count_ones: bool = False
-) -> tuple[list[int], list[int]]:
-    words, ones = _as_words(seq, m, count_ones)
+def _require_complete(seq: Iterable[int], m: int) -> tuple[list[int], list[int]]:
+    # the words and their per-bit ones, of a sequence that must be complete
+    words, gate = _as_words(seq, m)
+    ones = _fold(gate, m)[0]
     result = _completeness(words, m)
     if not result.complete:
         detail = f"length {result.length} of {1 << m}, {result.distinct} distinct"
@@ -131,7 +142,7 @@ def bit_balance(words: Iterable[int], m: int) -> list[int]:
     The sequence must be complete, which forces every count to equal
     2^(m-1); the counts are still tallied directly.
     """
-    return _require_complete(words, m, True)[1]
+    return _require_complete(words, m)[1]
 
 
 def tuple_balance(words: Iterable[int], positions: Iterable[int], m: int) -> dict[str, int]:
@@ -165,14 +176,8 @@ class HammingProfile(NamedTuple):
 
 def hamming_profile(words: Iterable[int], m: int) -> HammingProfile:
     """Hamming distance between each consecutive pair, plus per-bit flip counts."""
-    distances, per_bit_transitions = _profile(_as_words(words, m)[0], m)
+    _, distances, per_bit_transitions = _fold(_as_words(words, m)[1], m)
     return HammingProfile(list(distances), per_bit_transitions)
-
-
-def _profile(words: list[int], m: int) -> tuple[bytes, list[int]]:
-    diffs = _packed(map(operator.xor, words, islice(words, 1, None)))
-    # read back in native order (a bit count does not depend on byte order), a byte per distance
-    return bytes(map(int.bit_count, memoryview(diffs).cast("Q"))), _bit_counts(diffs, m)
 
 
 class ActivityReport(NamedTuple):
@@ -210,11 +215,20 @@ def analyze(words: Iterable[int], m: int, max_r: int = 4) -> ActivityReport:
     and balance unchecked.  A ``max_r`` that is not an int of at least 1
     raises ValueError.
     """
+    return _analyze(words, None, m, max_r)
+
+
+def _analyze(words: Iterable[int], packed: bytearray | None, m: int, max_r: int) -> ActivityReport:
+    # `analyze`; with `packed`, the words were read from canonical bin by columns, so no gate runs
     if max_r.__class__ is not int or max_r < 1:
         raise ValueError(f"max_r must be at least 1, got {max_r}")
-    words, per_bit_ones = _as_words(words, m, True)
+    if packed is None:
+        words, chunks = _as_words(words, m)
+    else:
+        chunks = (packed[i : i + 8 * _CHUNK] for i in range(0, len(packed), 8 * _CHUNK))
+    # the fold reads the gate through, so a bad word raises before the presence map is built
+    per_bit_ones, distances, per_bit_transitions = _fold(chunks, m)
     comp = _completeness(words, m)
-    distances, per_bit_transitions = _profile(words, m)
     hist = {d: n for d in range(m + 1) if (n := distances.count(d))}
     return ActivityReport(
         m=m,

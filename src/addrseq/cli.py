@@ -5,9 +5,10 @@ verify (check a sequence, nonzero exit on failure), analyze (always
 exit 0, print the full report), rank-stats (full-rank statistics),
 permute (rearrange address bits of a sequence).
 
-Each handler returns its exit code and its output as byte blocks; `_read_text`
-is the one reader and `_write` the one writer, so a reader that closes the pipe
-early ends every command quietly with that command's own exit code.
+Each handler returns its exit code and its output as byte blocks; `_read_bytes`
+is the one reader (`_read_words` reads canonical bin by columns, any other input
+by lines) and `_write` the one writer, so a reader that closes the pipe early
+ends every command quietly with that command's own exit code.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 """
@@ -24,11 +25,12 @@ from . import __version__
 
 # formats serves every command (integer options, parsing, writing); each handler
 # imports the rest of what it runs, so a spawn loads no module it does not use
-from .formats import FORMATS, _ascii_int, _byte_blocks, _check_m, _split_lines, parse_lines
+from .formats import FORMATS, _ascii_int, _byte_blocks, _check_m, _packed_bin, _split_lines, _unpacked
+from .formats import parse_lines
 
 # verify holds every word, a presence map (a byte per address for a full period,
-# a set of the words for a sparse input) and a byte per distance: about 160 MB at
-# m=20, doubling per bit
+# a set of the words for a sparse input) and a byte per distance: about 72 MB at
+# m=20 for canonical bin input and 150 MB for any other, doubling per bit
 DEFAULT_VERIFY_CAP = 28
 
 FAMILY_HELP = (
@@ -113,18 +115,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str | None) -> str:
-    """The input as text, read as one buffer from the file or stdin.
+def _read_bytes(path: str | None) -> bytes:
+    if path is None:  # a text stand-in has no buffer: its text is encoded back, as a pipe gives it
+        buffer = getattr(sys.stdin, "buffer", None)
+        return buffer.read() if buffer is not None else sys.stdin.read().encode("utf-8", "surrogateescape")
+    with open(path, "rb") as fh:
+        return fh.read()
 
-    Bytes that are not UTF-8 decode to surrogates, so a file and stdin
-    give the same lines and a bad byte is reported with its line.
-    """
-    if path is None:
-        data = getattr(sys.stdin, "buffer", sys.stdin).read()  # a text stand-in has no buffer
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    return data.decode("utf-8", "surrogateescape") if isinstance(data, bytes) else data
+
+def _read_words(path: str | None, m: int, fmt: str) -> tuple[list[int], bytearray | None]:
+    # the words of the input, and their packed bytes if it was canonical bin, read by columns;
+    # bytes that are not UTF-8 decode to surrogates, so a bad byte is reported with its line
+    data = _read_bytes(path)
+    packed = _packed_bin(data, m) if fmt in ("bin", "auto") else None
+    lines = None if packed is not None else _split_lines(data.decode("utf-8", "surrogateescape"))
+    del data  # the words are the peak; the input need not add to it
+    return (_unpacked(packed), packed) if lines is None else (parse_lines(lines, m, fmt), None)
 
 
 def _write(blocks: Iterable[bytes]) -> None:
@@ -152,7 +158,7 @@ def _cmd_gen(args) -> tuple[int, Iterable[bytes]]:
     if args.matrix is not None:
         if args.seed is not None:
             raise ValueError("--seed is for --family random; a --matrix file takes no seed")
-        matrix = GenerationMatrix.from_text(_read_text(args.matrix))
+        matrix = GenerationMatrix.from_text(_read_bytes(args.matrix).decode("utf-8", "surrogateescape"))
         if args.m is not None and args.m != matrix.m:
             raise ValueError(f"-m {args.m} conflicts with matrix width {matrix.m}")
     else:
@@ -203,10 +209,13 @@ def _cmd_analyze(args) -> tuple[int, Iterable[bytes]]:
 
 def _report(args) -> tuple[bool, bytes]:
     """Whether the input sequence passes, and its report."""
-    from .analysis import analyze, format_report
+    from .analysis import _analyze, analyze, format_report
 
-    words = parse_lines(_split_lines(_read_text(args.input)), args.m, args.format)
-    report = analyze(words, args.m, max_r=args.max_r)
+    words, packed = _read_words(args.input, args.m, args.format)
+    if packed is None:
+        report = analyze(words, args.m, args.max_r)
+    else:  # canonical bin comes packed and in range: it skips the gate
+        report = _analyze(words, packed, args.m, args.max_r)
     return report.ok, format_report(report).encode()
 
 
@@ -241,7 +250,7 @@ def _cmd_permute(args) -> tuple[int, Iterable[bytes]]:
         perm = list(map(_ascii_int, args.perm.split(",")))
     except ValueError:
         raise ValueError(f"--perm expects a comma list of positions, got {args.perm!r}") from None
-    words = parse_lines(_split_lines(_read_text(args.input)), args.m, args.in_format)
+    words = _read_words(args.input, args.m, args.in_format)[0]
     stream = permute_address_bits(AddressStream(args.m, len(words), iter(words)), perm)
     return 0, _byte_blocks(stream._packed_blocks(), args.m, args.format)
 

@@ -35,7 +35,9 @@ from one XOR of the block with itself a word up.
 The parser takes the whole input at once: the set of token lengths,
 ``bytes.translate`` character classes, ``map(int)`` and ``max()``.  Only
 when that finds a bad line does it bisect for the first one, so every
-error names its line.
+error names its line.  Canonical bin, n >= 1 lines of exactly m digits 0/1,
+each ended by ``\\n``, and nothing else, always detects as bin; `_packed_bin`
+reads it by columns instead, the inverse of the bin emit.
 """
 
 from __future__ import annotations
@@ -141,6 +143,7 @@ def _checked_blocks(words: Iterable[int], m: int) -> Iterator[bytes]:
 # _DIGIT[j] translates a byte to the ASCII digit of its bit j, which runs 2^j zeros, 2^j ones
 _DIGIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 _ONES = bytes(map(int.bit_count, range(256)))  # translates a byte to its count of ones
+_BIT = [bytes.maketrans(b"01", bytes([0, 1 << j])) for j in range(8)]  # _DIGIT's inverse: digit to bit j
 
 
 def _bit_columns(buf: bytes, m: int) -> Iterator[bytes]:
@@ -180,19 +183,27 @@ def _byte_blocks(blocks: Iterable[bytes], m: int, fmt: str) -> Iterator[bytes]:
             yield (b"%d\n" * (len(buf) // 8)) % tuple(_unpacked(buf))
     else:
         yield CSV_HEADER.encode() + b"\n"
-        row = prev = 0
+        row, prev = 0, b""
         for buf in blocks:
-            n, block = len(buf) // 8, int.from_bytes(buf, "little")
-            # each word's distance to the one before (the first's to itself, a 0 dropped below): the
-            # ones per byte of the XOR with the block a lane up, summed over byte lanes as ints
-            prev = prev if row else block & ((1 << 64) - 1)
-            ones = (block ^ (block << 64 | prev)).to_bytes(8 * n + 8, "little").translate(_ONES)
-            dists = sum(int.from_bytes(ones[k : 8 * n : 8], "little") for k in range((m + 7) // 8))
+            n = len(buf) // 8
+            # each word's distance to the one before (the first's to itself, a 0 dropped below)
+            dists = _diffs(buf, prev or buf[:8], m)[1]
             v = [0] * (3 * n)  # the row number, word and distance of each row, in turn
-            v[::3], v[1::3], v[2::3] = range(row, row + n), _unpacked(buf), dists.to_bytes(n, "little")
+            v[::3], v[1::3], v[2::3] = range(row, row + n), _unpacked(buf), dists
             text = _columns(_bit_columns(buf, m), n, b"%d,%d,", m, b",%d\n") % tuple(v)
             yield text.replace(b",0\n", b",\n", 1) if row == 0 else text
-            row, prev = row + n, block >> (64 * n - 64)
+            row, prev = row + n, buf[-8:]
+
+
+def _diffs(buf: bytes, prev: bytes, m: int) -> tuple[bytes, bytes]:
+    # each word `_packed` in `buf` XORed with the one before it (`prev`, 8 bytes, before the first),
+    # packed, and the ones of each XOR word, a byte each: the ones per byte summed over the m bits'
+    # byte lanes as ints, at most 64 a word, so no sum carries into the next
+    block = int.from_bytes(buf, "little")
+    diffs = (block ^ (block << 64 | int.from_bytes(prev, "little"))).to_bytes(len(buf) + 8, "little")[:-8]
+    ones = diffs.translate(_ONES)
+    total = sum(int.from_bytes(ones[k::8], "little") for k in range((m + 7) // 8))
+    return diffs, total.to_bytes(len(buf) // 8, "little")
 
 
 def _columns(columns: Iterable[bytes], n: int, head: bytes, d: int, tail: bytes) -> bytearray:
@@ -201,6 +212,20 @@ def _columns(columns: Iterable[bytes], n: int, head: bytes, d: int, tail: bytes)
     out = bytearray(head + bytes(d) + tail) * n
     for j, column in enumerate(columns):
         out[len(head) + d - 1 - j :: width] = column
+    return out
+
+
+def _packed_bin(data: bytes, m: int) -> bytearray | None:
+    # the words of canonical bin `data` `_packed`, else None: digit column m - 1 - b, one strided
+    # slice translated by _BIT, is bit b; a byte lane's columns add up as ints, with no carry
+    n = len(data) // (m + 1)
+    ends = b"\n" * n  # each line's \n in place, and nothing but 0/1 besides
+    if not n or len(data) != n * (m + 1) or data[m :: m + 1] != ends or data.translate(None, _BIN) != ends:
+        return None
+    out = bytearray(8 * n)
+    for k in range((m + 7) // 8):
+        columns = (data[m - 1 - b :: m + 1].translate(_BIT[b & 7]) for b in range(8 * k, min(8 * k + 8, m)))
+        out[k::8] = sum(int.from_bytes(c, "little") for c in columns).to_bytes(n, "little")
     return out
 
 

@@ -23,6 +23,8 @@ from addrseq import (
     verify_complete,
 )
 
+from addrseq.analysis import _CHUNK
+
 from _tables import (
     COMPLEMENT_PROFILE,
     FAMILY_COLUMNS,
@@ -355,17 +357,23 @@ def test_generated_sequences_analyze_clean():
     assert report.hamming_histogram == {1: 31}
 
 
+def _reference_profile(words, m):
+    """The distance of each consecutive pair and the flips of each bit, one pair at a time."""
+    distances, flips = [], [0] * m
+    for prev, cur in zip(words, words[1:]):
+        distances.append(sum(((prev ^ cur) >> b) & 1 for b in range(m)))
+        for b in range(m):
+            flips[b] += ((prev ^ cur) >> b) & 1
+    return distances, flips
+
+
 def _reference_report(words, m, max_r):
     """The report fields of `words`, from plain loops over the words."""
     ones = [0] * m
     for w in words:
         for b in range(m):
             ones[b] += (w >> b) & 1
-    distances, flips = [], [0] * m
-    for prev, cur in zip(words, words[1:]):
-        distances.append(sum(((prev ^ cur) >> b) & 1 for b in range(m)))
-        for b in range(m):
-            flips[b] += ((prev ^ cur) >> b) & 1
+    distances, flips = _reference_profile(words, m)
     histogram = {}
     for d in sorted(distances):
         histogram[d] = histogram.get(d, 0) + 1
@@ -422,6 +430,43 @@ def test_analyze_matches_a_plain_loop_reference(case, max_r):
         for r in range(1, min(m, 4) + 1):
             for pos in combinations(range(1, m + 1), r):
                 assert set(tuple_balance(words, pos, m).values()) == {1 << (m - r)}
+
+
+# lengths around the fold's chunk: none, one word, one pair, a chunk and one word
+# either side of it, and two chunks
+_FOLD_LENGTHS = [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK]
+
+
+@st.composite
+def _runs_around_the_fold(draw):
+    """A width 1..64 and a run of a length around the fold's chunk: random, a gray count, or stretches."""
+    m = draw(st.integers(1, 64))
+    n = draw(st.sampled_from(_FOLD_LENGTHS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = (1 << m) - 1
+    kind = draw(st.sampled_from(["random", "gray", "stretches"]))
+    if kind == "random":
+        return m, [rng.getrandbits(m) for _ in range(n)]
+    if kind == "gray":  # distance 1 everywhere but at the wrap
+        start = rng.getrandbits(m)
+        return m, [(c ^ (c >> 1)) & top for c in range(start, start + n)]
+    words = []  # runs of one word, so whole stretches have distance 0
+    while len(words) < n:
+        words += [rng.choice([0, top, rng.getrandbits(m)])] * rng.randrange(1, 3000)
+    return m, words[:n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_runs_around_the_fold())
+@example((64, [(1 << 64) - 1, 0] * _CHUNK))
+@example((1, [1, 0] * (_CHUNK // 2) + [1]))
+def test_packed_profile_matches_a_plain_loop_reference(case):
+    m, words = case
+    distances, flips = _reference_profile(words, m)
+    assert hamming_profile(words, m) == (distances, flips)
+    report = analyze(words, m, max_r=1)
+    want = _reference_report(words, m, 1)
+    assert {key: getattr(report, key) for key in want} == want
 
 
 # -- report rendering --------------------------------------------------------------------

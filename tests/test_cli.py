@@ -13,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import addrseq
-from addrseq.cli import main
+from addrseq.analysis import _CHUNK
+from addrseq.cli import _read_words, main
+from addrseq.formats import SequenceParseError, _split_lines
 
 import _line_format
 import _line_parser
@@ -694,7 +696,7 @@ def test_every_command_keeps_its_exit_code_when_the_reader_is_gone(argv, stdin, 
 LOADS_NOT = {
     "gen": {"dataclasses", "inspect", "addrseq.analysis", "addrseq.gray"},
     "rank-stats": {"dataclasses", "inspect", "addrseq.analysis", "addrseq.gray"},
-    "verify": {"dataclasses", "inspect", "addrseq.families", "addrseq.generate", "addrseq.gray"},
+    "verify": {"dataclasses", "inspect", "addrseq.families", "addrseq.generate", "addrseq.gray", "addrseq.gf2"},
 }
 
 
@@ -1157,3 +1159,86 @@ def test_gen_and_permute_keep_the_exit_contract(runs, data):
     else:
         assert (code, err) == (0, "")
         assert out == expected
+
+
+# -- the column reader --------------------------------------------------------------------
+
+
+def _read_by_cli(data, m, fmt):
+    """`_read_words` on `data` as stdin: its words or parse error, and whether it read by columns."""
+    saved = sys.stdin
+    try:
+        with io.TextIOWrapper(io.BytesIO(data)) as sys.stdin:
+            words, packed = _read_words(None, m, fmt)
+    except SequenceParseError as exc:
+        return (exc.lineno, str(exc)), False
+    finally:
+        sys.stdin = saved
+    return words, packed is not None
+
+
+def _read_by_lines(data, m, fmt):
+    # the reference: the decoded text, split and parsed line by line
+    try:
+        return addrseq.parse_lines(_split_lines(data.decode("utf-8", "surrogateescape")), m, fmt)
+    except SequenceParseError as exc:
+        return exc.lineno, str(exc)
+
+
+# edits of canonical bin that make it read by lines: each is one near miss of the shape
+_EDITS = {
+    "no final newline": lambda lines: "\n".join(lines).encode(),
+    "crlf": lambda lines: "".join(ln + "\r\n" for ln in lines).encode(),
+    "trailing blank line": lambda lines: as_text(lines + [""]).encode(),
+    "short line": lambda lines: as_text(lines[:-1] + [lines[-1][1:]]).encode(),
+    "long line": lambda lines: as_text(["0" + lines[0]] + lines[1:]).encode(),
+    "a 2": lambda lines: as_text(["2" + lines[0][1:]] + lines[1:]).encode(),
+    # a line split in two: the length and every (m+1)-th newline stay, with nothing but 0, 1 and \n
+    "split line": lambda lines: as_text([lines[0][:-1] + "\n"] + lines[1:]).encode(),
+    "empty": lambda lines: b"",
+}
+
+
+@st.composite
+def reader_inputs(draw):
+    """A width, an input format, raw input bytes, and whether they are canonical bin.
+
+    The bytes are canonical bin, one of its near misses in _EDITS, or the
+    near-miss lines the parser tests draw.
+    """
+    m = draw(st.integers(1, 64))
+    fmt = draw(st.sampled_from(["auto", "auto", "bin", "bin", "dec", "hex", "csv"]))
+    words = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12))
+    lines = [format(w, f"0{m}b") for w in words]
+    kind = draw(st.sampled_from(["canonical"] * 4 + ["near miss"] * 4 + list(_EDITS)))
+    if kind == "canonical":
+        return m, fmt, as_text(lines).encode(), True
+    if kind == "near miss":
+        text = as_text(draw(near_miss_lines(m))).encode("utf-8", "surrogateescape")
+        return m, fmt, text, None  # may be canonical bin, or not
+    return m, fmt, _EDITS[kind](lines), False
+
+
+@settings(max_examples=400, deadline=None)
+@given(reader_inputs())
+@example((2, "auto", b"0\n\n", False))  # a line split in two, at the first width it can be
+@example((3, "bin", b"0\n1\n", False))
+@example((64, "auto", as_text([format((1 << 64) - 1, "064b")]).encode(), True))
+def test_the_column_reader_matches_the_line_parser(case):
+    m, fmt, data, canonical = case
+    words, by_columns = _read_by_cli(data, m, fmt)
+    assert words == _read_by_lines(data, m, fmt)
+    if canonical is not None:
+        # without this, a reader that never reads by columns would pass
+        assert by_columns == (canonical and fmt in ("auto", "bin"))
+
+
+@pytest.mark.parametrize("m", [1, 8, 9, 64])
+def test_analyze_by_columns_matches_the_library_over_several_chunks(m):
+    # canonical bin reaches the analysis packed, and `_analyze` cuts it into chunks, not the gate
+    rng = random.Random(m)
+    words = [rng.getrandbits(m) for _ in range(2 * _CHUNK + 1)]
+    text = as_text(format(w, f"0{m}b") for w in words)
+    assert _read_by_cli(text.encode(), m, "auto") == (words, True)
+    code, out, err = run_main(["analyze", "-m", str(m)], text)
+    assert (code, out, err) == (0, addrseq.format_report(addrseq.analyze(words, m)), "")
