@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from itertools import count, islice, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .formats import _BLOCK, _bit_columns, _check_m, _checked_blocks, _diffs
 
@@ -87,7 +87,7 @@ def check_completeness(words: Iterable[int], m: int) -> Completeness:
     return _completeness(words, m)
 
 
-def _completeness(words: list[int], m: int) -> Completeness:
+def _completeness(words: Sequence[int], m: int) -> Completeness:
     full, first_dup = 1 << m, None
     if len(words) << 3 >= full:
         # dense: one byte per address, set in bulk, then counted and searched as a buffer
@@ -215,18 +215,19 @@ def analyze(words: Iterable[int], m: int, max_r: int = 4) -> ActivityReport:
     and balance unchecked.  A ``max_r`` that is not an int of at least 1
     raises ValueError.
     """
-    return _analyze(words, None, m, max_r)
+    _check_max_r(max_r)  # before a word is read
+    return _analyze(*_as_words(words, m), m, max_r)
 
 
-def _analyze(words: Iterable[int], packed: bytearray | None, m: int, max_r: int) -> ActivityReport:
-    # `analyze`; with `packed`, the words were read from canonical bin by columns, so no gate runs
+def _check_max_r(max_r: int) -> None:
     if max_r.__class__ is not int or max_r < 1:
         raise ValueError(f"max_r must be at least 1, got {max_r}")
-    if packed is None:
-        words, chunks = _as_words(words, m)
-    else:
-        chunks = (packed[i : i + 8 * _CHUNK] for i in range(0, len(packed), 8 * _CHUNK))
-    # the fold reads the gate through, so a bad word raises before the presence map is built
+
+
+def _analyze(words: Sequence[int], chunks: Iterable[bytes], m: int, max_r: int) -> ActivityReport:
+    # `analyze` of `words`, also `_packed` in `chunks` of at most _CHUNK: `_as_words`' gate, read
+    # through by the fold before the presence map is built, or the CLI reader's in-range buffer
+    _check_max_r(max_r)
     per_bit_ones, distances, per_bit_transitions = _fold(chunks, m)
     comp = _completeness(words, m)
     hist = {d: n for d in range(m + 1) if (n := distances.count(d))}

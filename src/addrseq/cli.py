@@ -6,9 +6,9 @@ exit 0, print the full report), rank-stats (full-rank statistics),
 permute (rearrange address bits of a sequence).
 
 Each handler returns its exit code and its output as byte blocks; `_read_bytes`
-is the one reader (`_read_words` reads canonical bin by columns, any other input
-by lines) and `_write` the one writer, so a reader that closes the pipe early
-ends every command quietly with that command's own exit code.
+is the one reader (`_read_words` packs the words of any input into one buffer,
+64 bits a word) and `_write` the one writer, so a reader that closes the pipe
+early ends every command quietly with that command's own exit code.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 """
@@ -25,12 +25,12 @@ from . import __version__
 
 # formats serves every command (integer options, parsing, writing); each handler
 # imports the rest of what it runs, so a spawn loads no module it does not use
-from .formats import FORMATS, _ascii_int, _byte_blocks, _check_m, _packed_bin, _split_lines, _unpacked
-from .formats import parse_lines
+from .formats import FORMATS, _BLOCK, _ascii_int, _byte_blocks, _check_m, _packed, _packed_bin, _pieces
+from .formats import _split_lines, _unpacked, parse_lines
 
-# verify holds every word, a presence map (a byte per address for a full period,
-# a set of the words for a sparse input) and a byte per distance: about 72 MB at
-# m=20 for canonical bin input and 150 MB for any other, doubling per bit
+# verify holds every word in 8 bytes, a presence map (a byte per address for a full
+# period, a set of the words for a sparse input) and a byte per distance: about 51 MB
+# at m=20 for canonical bin input and, parsing lines, 143 MB for any other, doubling per bit
 DEFAULT_VERIFY_CAP = 28
 
 FAMILY_HELP = (
@@ -123,14 +123,16 @@ def _read_bytes(path: str | None) -> bytes:
         return fh.read()
 
 
-def _read_words(path: str | None, m: int, fmt: str) -> tuple[list[int], bytearray | None]:
-    # the words of the input, and their packed bytes if it was canonical bin, read by columns;
-    # bytes that are not UTF-8 decode to surrogates, so a bad byte is reported with its line
+def _read_words(path: str | None, m: int, fmt: str) -> bytes:
+    # the input's words `_packed` and in range: canonical bin read by columns, any other input by
+    # `parse_lines`, where bytes that are not UTF-8 decode to surrogates, so a bad byte names its line
     data = _read_bytes(path)
     packed = _packed_bin(data, m) if fmt in ("bin", "auto") else None
-    lines = None if packed is not None else _split_lines(data.decode("utf-8", "surrogateescape"))
-    del data  # the words are the peak; the input need not add to it
-    return (_unpacked(packed), packed) if lines is None else (parse_lines(lines, m, fmt), None)
+    if packed is None:  # the parse is the peak: neither the input nor its lines outlast their use
+        lines, data = _split_lines(data.decode("utf-8", "surrogateescape")), None
+        words, lines = parse_lines(lines, m, fmt), None
+        packed = _packed(words)
+    return packed
 
 
 def _write(blocks: Iterable[bytes]) -> None:
@@ -199,24 +201,15 @@ def _cmd_verify(args) -> tuple[int, Iterable[bytes]]:
             f"verify holds all 2^{args.m} words, a presence map and a byte per distance "
             f"in memory; raise --max-m beyond {args.max_m} to allow it"
         )
-    ok, report = _report(args)
-    return (0 if ok else 1), [report]
+    return _cmd_analyze(args)
 
 
 def _cmd_analyze(args) -> tuple[int, Iterable[bytes]]:
-    return 0, [_report(args)[1]]
+    from .analysis import _CHUNK, _analyze, format_report
 
-
-def _report(args) -> tuple[bool, bytes]:
-    """Whether the input sequence passes, and its report."""
-    from .analysis import _analyze, analyze, format_report
-
-    words, packed = _read_words(args.input, args.m, args.format)
-    if packed is None:
-        report = analyze(words, args.m, args.max_r)
-    else:  # canonical bin comes packed and in range: it skips the gate
-        report = _analyze(words, packed, args.m, args.max_r)
-    return report.ok, format_report(report).encode()
+    packed = _read_words(args.input, args.m, args.format)
+    report = _analyze(_unpacked(packed), _pieces(packed, _CHUNK), args.m, args.max_r)
+    return int(args.command == "verify" and not report.ok), [format_report(report).encode()]
 
 
 def _cmd_rank_stats(args) -> tuple[int, Iterable[bytes]]:
@@ -243,16 +236,14 @@ def _cmd_rank_stats(args) -> tuple[int, Iterable[bytes]]:
 
 
 def _cmd_permute(args) -> tuple[int, Iterable[bytes]]:
-    from .families import permute_address_bits
-    from .generate import AddressStream
+    from .families import _check_perm, _permuted
 
     try:
         perm = list(map(_ascii_int, args.perm.split(",")))
     except ValueError:
         raise ValueError(f"--perm expects a comma list of positions, got {args.perm!r}") from None
-    words = _read_words(args.input, args.m, args.in_format)[0]
-    stream = permute_address_bits(AddressStream(args.m, len(words), iter(words)), perm)
-    return 0, _byte_blocks(stream._packed_blocks(), args.m, args.format)
+    packed, perm = _read_words(args.input, args.m, args.in_format), _check_perm(perm, args.m)
+    return 0, _byte_blocks((_permuted(buf, perm) for buf in _pieces(packed, _BLOCK)), args.m, args.format)
 
 
 _HANDLERS = {

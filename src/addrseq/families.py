@@ -362,17 +362,19 @@ def permute_address_bits(stream: AddressStream, perm: Sequence[int]) -> AddressS
     """
     perm = _check_perm(perm, stream.m)
 
-    def blocks(packed: bool = False) -> Iterator[list[int] | bytes]:
-        # output bit k of every word of a block at once: a 1 in each 64-bit lane, `ones`,
-        # picks input bit perm[k-1] of each word, to be shifted to bit k
-        for buf in stream._packed_blocks():
-            x, ones = (int.from_bytes(b, "little") for b in (buf, _packed([1] * (len(buf) // 8))))
-            out = sum((x >> (p - 1) & ones) << k for k, p in enumerate(perm)).to_bytes(len(buf), "little")
-            yield out if packed else _unpacked(out)
+    def blocks(packed: bool = False) -> Iterator[Sequence[int] | bytes]:
+        out = (_permuted(buf, perm) for buf in stream._packed_blocks())
+        return out if packed else map(_unpacked, out)
 
     permuted = AddressStream(stream.m, stream.count, iter(()))
     permuted._blocks = blocks
     return permuted
+
+
+def _permuted(buf: bytes, perm: Sequence[int]) -> bytes:
+    # output bit k of every word in `buf` at once: `ones`, a 1 per 64-bit lane, picks input bit perm[k-1]
+    x, ones = (int.from_bytes(b, "little") for b in (buf, _packed([1] * (len(buf) // 8))))
+    return sum((x >> (p - 1) & ones) << k for k, p in enumerate(perm)).to_bytes(len(buf), "little")
 
 
 class PermutationCount(NamedTuple):

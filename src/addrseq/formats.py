@@ -47,7 +47,7 @@ from array import array
 from functools import cached_property, partial
 from itertools import compress, count, islice, repeat
 from operator import not_
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 FORMATS = ("bin", "dec", "hex", "csv")
 
@@ -116,12 +116,17 @@ def _packed(words: Iterable[int]) -> bytes:
     return packed.tobytes()
 
 
-def _unpacked(buf: bytes) -> list[int]:
-    # the words `_packed` put in `buf`: its inverse, on a host of either byte order
-    words = array("Q", buf)
-    if sys.byteorder != "little":
-        words.byteswap()
-    return words.tolist()
+def _unpacked(buf: bytes) -> Sequence[int]:
+    # the words `_packed` put in `buf`: read in place on a little-endian host, else a swapped copy
+    if sys.byteorder == "little":
+        return memoryview(buf).cast("Q")
+    (words := array("Q", buf)).byteswap()
+    return words
+
+
+def _pieces(buf: bytes, n: int) -> Iterator[bytes]:
+    # the words `_packed` in `buf`, n at a time, each piece a copy
+    return (buf[i : i + 8 * n] for i in range(0, len(buf), 8 * n))
 
 
 def _checked_blocks(words: Iterable[int], m: int) -> Iterator[bytes]:
@@ -253,12 +258,12 @@ def _read(lines: Iterable[str], m: int, read: Callable[[_Tokens, int], str | lis
     # `read` the non-blank lines, stripped of ASCII whitespace, as tokens; the error
     # of a bad token names its 1-based line within `lines`
     _check_m(m)
-    stripped = list(map(str.strip, lines, repeat(_SPACE)))
-    tokens = _Tokens(list(filter(None, stripped)))
+    lines = lines if isinstance(lines, list) else list(lines)  # stripped again on a bad token only
+    tokens = _Tokens(list(filter(None, map(str.strip, lines, repeat(_SPACE)))))
     try:
         return read(tokens, m)
     except _BadToken as bad:
-        lineno = list(compress(count(1), stripped))[bad.index]
+        lineno = list(compress(count(1), map(str.strip, lines, repeat(_SPACE))))[bad.index]
         raise SequenceParseError(lineno, tokens.items[bad.index], bad.reason) from None
 
 

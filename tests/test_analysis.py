@@ -334,9 +334,10 @@ def test_analyze_respects_max_r():
 
 
 @pytest.mark.parametrize("max_r", [0, -3])
-@pytest.mark.parametrize("words", [TABLE_UP, TABLE_UP[:3]], ids=["complete", "partial"])
+@pytest.mark.parametrize("words", [TABLE_UP, TABLE_UP[:3], [0.2, 1.9]], ids=["complete", "partial", "floats"])
 def test_analyze_rejects_max_r_below_one(words, max_r):
-    # a complete run once reported balance_r_max=-3, balance checked up to a negative size
+    # a complete run once reported balance_r_max=-3, balance checked up to a negative size;
+    # max_r is checked before any word is read
     with pytest.raises(ValueError, match="max_r must be at least 1"):
         analyze(words, 4, max_r=max_r)
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import os
 import random
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 import addrseq
 from addrseq.analysis import _CHUNK
+import addrseq.cli
 from addrseq.cli import _read_words, main
-from addrseq.formats import SequenceParseError, _split_lines
+from addrseq.formats import SequenceParseError, _split_lines, _unpacked
 
 import _line_format
 import _line_parser
@@ -1165,16 +1167,25 @@ def test_gen_and_permute_keep_the_exit_contract(runs, data):
 
 
 def _read_by_cli(data, m, fmt):
-    """`_read_words` on `data` as stdin: its words or parse error, and whether it read by columns."""
-    saved = sys.stdin
+    """`_read_words` on `data` as stdin: its words or parse error, and whether it read by columns.
+
+    A read went by columns when it never called the line parser.
+    """
+    saved, parse, calls = sys.stdin, addrseq.cli.parse_lines, []
+
+    def spy(*args):
+        calls.append(args)
+        return parse(*args)
+
+    addrseq.cli.parse_lines = spy
     try:
         with io.TextIOWrapper(io.BytesIO(data)) as sys.stdin:
-            words, packed = _read_words(None, m, fmt)
+            packed = _read_words(None, m, fmt)
     except SequenceParseError as exc:
-        return (exc.lineno, str(exc)), False
+        return (exc.lineno, str(exc)), not calls
     finally:
-        sys.stdin = saved
-    return words, packed is not None
+        sys.stdin, addrseq.cli.parse_lines = saved, parse
+    return list(_unpacked(packed)), not calls
 
 
 def _read_by_lines(data, m, fmt):
@@ -1235,10 +1246,95 @@ def test_the_column_reader_matches_the_line_parser(case):
 
 @pytest.mark.parametrize("m", [1, 8, 9, 64])
 def test_analyze_by_columns_matches_the_library_over_several_chunks(m):
-    # canonical bin reaches the analysis packed, and `_analyze` cuts it into chunks, not the gate
+    # canonical bin reaches the analysis packed, and the CLI cuts it into chunks, not the gate
     rng = random.Random(m)
     words = [rng.getrandbits(m) for _ in range(2 * _CHUNK + 1)]
     text = as_text(format(w, f"0{m}b") for w in words)
     assert _read_by_cli(text.encode(), m, "auto") == (words, True)
     code, out, err = run_main(["analyze", "-m", str(m)], text)
     assert (code, out, err) == (0, addrseq.format_report(addrseq.analyze(words, m)), "")
+    # permute moves the bits of the same buffer a block at a time, the last block a short one
+    perm = rng.sample(range(1, m + 1), m)
+    want = permute_reference(words, perm)
+    stream = addrseq.permute_address_bits(addrseq.AddressStream(m, len(words), iter(words)), perm)
+    assert list(stream.words()) == want
+    for fmt in addrseq.FORMATS:
+        code, out, err = run_main(["permute", "-m", str(m), "--perm", ",".join(map(str, perm)),
+                                   "--format", fmt], text)
+        assert (code, out, err) == (0, as_text(addrseq.format_lines(want, m, fmt)), "")
+
+
+# -- one packed buffer from the reader ------------------------------------------------------
+
+
+def test_no_command_gates_the_words_its_own_reader_produced(monkeypatch):
+    # the reader holds every word to the range rule once; verify, analyze and permute hand its
+    # packed buffer on, so neither the word gate, which packs and checks a word list again, nor
+    # an AddressStream around the words ever runs
+    for name in ("addrseq.analysis", "addrseq.families", "addrseq.generate"):
+        importlib.import_module(name)
+    runs = []
+    for fmt in addrseq.FORMATS:
+        text = run_main(["gen", "-m", "6", "--family", "random:1", "--format", fmt])[1]
+        for argv in (["verify", "-m", "6"], ["analyze", "-m", "6"],
+                     ["permute", "-m", "6", "--perm", "6,5,4,3,2,1", "--format", fmt]):
+            runs.append((argv, text, run_main(argv, text)))
+
+    def refuse(*args):
+        raise AssertionError("a CLI command ran the word gate or built a stream")
+
+    for attr, binders in (("_checked_blocks", {"formats", "analysis", "generate"}),
+                          ("AddressStream", {"generate", "families"})):
+        bound = [mod for name, mod in sys.modules.items()
+                 if name.split(".")[0] == "addrseq" and hasattr(mod, attr)]
+        assert {mod.__name__ for mod in bound} >= {f"addrseq.{b}" for b in binders}
+        for mod in bound:
+            monkeypatch.setattr(mod, attr, refuse)
+    for argv, text, (code, out, err) in runs:
+        assert (code, err) == (0, "")
+        assert run_main(argv, text)[:2] == (code, out), argv
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "-m", "2", "--format", "bin", "--max-r", "0"], "line 2: not a bin address: 'x'"),
+        (["analyze", "-m", "2", "--format", "bin", "--max-r", "0"], "line 2: not a bin address: 'x'"),
+        (["permute", "-m", "2", "--in-format", "bin", "--perm", "1,1"], "line 2: not a bin address: 'x'"),
+        (["permute", "-m", "2", "--in-format", "bin", "--perm", "x"],
+         "--perm expects a comma list of positions, got 'x'"),
+    ],
+    ids=["verify", "analyze", "permute", "perm-text"],
+)
+def test_a_bad_line_is_reported_before_a_bad_option_value(argv, message):
+    # the input is read first, so its parse error wins over --max-r and --perm values;
+    # only a --perm that is not a comma list of integers is refused before the read
+    assert run_main(argv, "00\nx\n") == (2, "", f"addrseq: {message}\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "-m", "20", "--max-r", "1"], ["permute", "-m", "20", "--perm", ",".join(map(str, range(20, 0, -1)))]],
+    ids=["verify", "permute"],
+)
+def test_a_canonical_bin_run_at_m20_peaks_below_60_mb(tmp_path, argv):
+    # the packed buffer is 8 MB at m = 20 and no word list is built (a list of 2^20 ints
+    # took the peak to about 71 MB); a fresh helper spawns the run and reads its peak from
+    # its own RUSAGE_CHILDREN, so that no other test's children count
+    path = tmp_path / "seq.bin"
+    with open(path, "wb") as out:
+        subprocess.run([sys.executable, "-m", "addrseq.cli", "gen", "-m", "20", "--family", "random:1"],
+                       stdout=out, env=child_env(), check=True, timeout=120)
+    helper = (
+        "import resource, subprocess, sys\n"
+        "with open(sys.argv[1], 'rb') as fh:\n"
+        "    proc = subprocess.run([sys.executable, '-m', 'addrseq.cli', *sys.argv[2:]], stdin=fh,\n"
+        "                          stdout=subprocess.DEVNULL)\n"
+        "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", helper, str(path), *argv], env=child_env(),
+                          capture_output=True, text=True, check=True, timeout=120)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib <= 60 * 1024, f"{argv[0]} peaked at {peak_kib / 1024:.1f} MB"

@@ -359,12 +359,14 @@ def test_block_formatter_matches_the_line_formatter(case):
 def test_packed_words_read_back_on_a_host_of_either_byte_order(monkeypatch):
     words = [0, 1, 0x0102030405060708, 1 << 63, (1 << 64) - 1]
     assert _packed(words) == b"".join(w.to_bytes(8, "little") for w in words)
-    assert _unpacked(_packed(words)) == words
+    assert list(_unpacked(_packed(words))) == words
+    assert not isinstance(_unpacked(_packed(words)), list)  # read in place, or one array copy
     # told the host is the other way round, both sides swap, and still agree
     other = "big" if sys.byteorder == "little" else "little"
     monkeypatch.setattr(sys, "byteorder", other)
     assert _packed(words) == b"".join(w.to_bytes(8, other) for w in words)
-    assert _unpacked(_packed(words)) == words
+    assert list(_unpacked(_packed(words))) == words
+    assert not isinstance(_unpacked(_packed(words)), list)  # read in place, or one array copy
 
 
 def test_csv_rows_run_on_across_blocks():
