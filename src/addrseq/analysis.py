@@ -14,7 +14,9 @@ Every check takes the sequence as int words plus its width ``m``, for
 example ``analyze(words, m)``; a generated stream gives its words
 through ``.words()``.  Anything that is not an int (a float, a digit
 string) raises TypeError, and a word outside ``0..2^m - 1`` raises
-ValueError.
+ValueError.  The words are checked and packed into one buffer, 64 bits
+a word, as they arrive; every check reads that buffer and keeps no list
+of the words beside it.
 
 Switching activity is profiled as the Hamming distance between
 consecutive addresses, plus per-bit transition counts; the sum of the
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from itertools import count, islice, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from itertools import count, repeat
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .formats import _BLOCK, _bit_columns, _check_m, _checked_blocks, _diffs
+from .formats import _BLOCK, _bit_columns, _check_m, _checked_blocks, _diffs, _pieces, _unpacked
 
 if TYPE_CHECKING:  # gf2 is loaded only when a report names a word
     from .gf2 import BitVector
@@ -40,21 +42,22 @@ class IncompleteSequenceError(ValueError):
     """Balance checks require a complete sequence (see verify_complete)."""
 
 
-def _as_words(seq: Iterable[int], m: int) -> tuple[list[int], Iterator[bytes]]:
-    # the words, and the gate: it yields them `_packed`, _CHUNK at a time, and holds them to the
-    # word-range rule of `_checked_blocks` as it goes, so a caller reads it through first
+def _as_words(seq: Iterable[int], m: int) -> bytearray:
+    # the words `_packed` in one buffer, held to the word-range rule of `_checked_blocks` a block at
+    # a time; operator.index refuses floats and strings, which int() would truncate or read as decimal
     _check_m(m)
-    # operator.index refuses floats and strings, which int() would truncate or read as decimal
-    words = list(map(operator.index, seq))
-    blocks = _checked_blocks(words, m)
-    return words, iter(lambda: b"".join(islice(blocks, _CHUNK // _BLOCK)), b"")
+    packed = bytearray()
+    for buf in _checked_blocks(map(operator.index, seq), m):
+        packed += buf
+    return packed
 
 
-def _fold(chunks: Iterable[bytes], m: int) -> tuple[list[int], bytearray, list[int]]:
+def _fold(packed: bytes, m: int) -> tuple[list[int], bytearray, list[int]]:
     # per-bit ones (index 0 is the LSB), a byte per distance and per-bit transitions of the words
-    # in packed `chunks`, each XORed with itself a word up, the last word before it carried in
+    # `_packed` in `packed`, _CHUNK at a time, each chunk XORed with itself a word up, the last
+    # word before it carried in
     ones, distances, transitions, prev = [0] * m, bytearray(), [0] * m, b""
-    for chunk in chunks:
+    for chunk in _pieces(packed, _CHUNK):
         diffs, dists = _diffs(chunk, prev or chunk[:8], m)  # the first word's own: a 0, dropped
         for tally, buf in ((ones, chunk), (transitions, diffs)):
             tally[:] = map(operator.add, tally, [column.count(b"1") for column in _bit_columns(buf, m)])
@@ -82,9 +85,7 @@ def check_completeness(words: Iterable[int], m: int) -> Completeness:
     a set of the words otherwise, so short sequences over wide address
     spaces stay cheap at any m.
     """
-    words, gate = _as_words(words, m)
-    deque(gate, maxlen=0)
-    return _completeness(words, m)
+    return _completeness(_unpacked(_as_words(words, m)), m)
 
 
 def _completeness(words: Sequence[int], m: int) -> Completeness:
@@ -118,10 +119,10 @@ def verify_complete(words: Iterable[int], m: int) -> bool:
     return check_completeness(words, m).complete
 
 
-def _require_complete(seq: Iterable[int], m: int) -> tuple[list[int], list[int]]:
+def _require_complete(seq: Iterable[int], m: int) -> tuple[Sequence[int], list[int]]:
     # the words and their per-bit ones, of a sequence that must be complete
-    words, gate = _as_words(seq, m)
-    ones = _fold(gate, m)[0]
+    packed = _as_words(seq, m)
+    ones, words = _fold(packed, m)[0], _unpacked(packed)
     result = _completeness(words, m)
     if not result.complete:
         detail = f"length {result.length} of {1 << m}, {result.distinct} distinct"
@@ -176,7 +177,7 @@ class HammingProfile(NamedTuple):
 
 def hamming_profile(words: Iterable[int], m: int) -> HammingProfile:
     """Hamming distance between each consecutive pair, plus per-bit flip counts."""
-    _, distances, per_bit_transitions = _fold(_as_words(words, m)[1], m)
+    _, distances, per_bit_transitions = _fold(_as_words(words, m), m)
     return HammingProfile(list(distances), per_bit_transitions)
 
 
@@ -216,7 +217,7 @@ def analyze(words: Iterable[int], m: int, max_r: int = 4) -> ActivityReport:
     raises ValueError.
     """
     _check_max_r(max_r)  # before a word is read
-    return _analyze(*_as_words(words, m), m, max_r)
+    return _analyze(_as_words(words, m), m, max_r)
 
 
 def _check_max_r(max_r: int) -> None:
@@ -224,16 +225,15 @@ def _check_max_r(max_r: int) -> None:
         raise ValueError(f"max_r must be at least 1, got {max_r}")
 
 
-def _analyze(words: Sequence[int], chunks: Iterable[bytes], m: int, max_r: int) -> ActivityReport:
-    # `analyze` of `words`, also `_packed` in `chunks` of at most _CHUNK: `_as_words`' gate, read
-    # through by the fold before the presence map is built, or the CLI reader's in-range buffer
+def _analyze(packed: bytes, m: int, max_r: int) -> ActivityReport:
+    # `analyze` of the in-range words `_packed` in `packed`: `_as_words`' buffer or the CLI reader's
     _check_max_r(max_r)
-    per_bit_ones, distances, per_bit_transitions = _fold(chunks, m)
-    comp = _completeness(words, m)
+    per_bit_ones, distances, per_bit_transitions = _fold(packed, m)
+    comp = _completeness(_unpacked(packed), m)
     hist = {d: n for d in range(m + 1) if (n := distances.count(d))}
     return ActivityReport(
         m=m,
-        length=len(words),
+        length=comp.length,
         complete=comp.complete,
         first_duplicate=comp.first_duplicate,
         first_missing=comp.first_missing,

@@ -7,8 +7,10 @@ permute (rearrange address bits of a sequence).
 
 Each handler returns its exit code and its output as byte blocks; `_read_bytes`
 is the one reader (`_read_words` packs the words of any input into one buffer,
-64 bits a word) and `_write` the one writer, so a reader that closes the pipe
-early ends every command quietly with that command's own exit code.
+64 bits a word, the buffer the analysis reads) and `_write` the one writer, so a
+reader that closes the pipe early ends every command quietly with that command's
+own exit code.  `gen` builds one SequenceSpec and formats the engine kernel's
+packed blocks for it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 """
@@ -26,7 +28,7 @@ from . import __version__
 # formats serves every command (integer options, parsing, writing); each handler
 # imports the rest of what it runs, so a spawn loads no module it does not use
 from .formats import FORMATS, _BLOCK, _ascii_int, _byte_blocks, _check_m, _packed, _packed_bin, _pieces
-from .formats import _split_lines, _unpacked, parse_lines
+from .formats import _split_lines, parse_lines
 
 # verify holds every word in 8 bytes, a presence map (a byte per address for a full
 # period, a set of the words for a sparse input) and a byte per distance: about 51 MB
@@ -154,7 +156,7 @@ def _write(blocks: Iterable[bytes]) -> None:
 
 def _cmd_gen(args) -> tuple[int, Iterable[bytes]]:
     from .families import family_matrix
-    from .generate import generate_direct, generate_down, generate_recursive, generate_shifted
+    from .generate import SequenceSpec, _affine, _affine_blocks, _check_shift
     from .gf2 import GenerationMatrix
 
     if args.matrix is not None:
@@ -174,16 +176,12 @@ def _cmd_gen(args) -> tuple[int, Iterable[bytes]]:
         raise ValueError("--shift computes a0/b0 itself; do not combine with --a0/--b0/--down")
     if args.engine == "direct" and (start_given or args.down or args.shift is not None):
         raise ValueError("--engine direct runs the plain counter form; use recursive for variants")
+    if args.shift is not None:
+        _check_shift(args.shift, matrix.m)
 
-    if args.engine == "direct":
-        stream = generate_direct(matrix, args.count)
-    elif args.shift is not None:
-        stream = generate_shifted(matrix, args.shift, args.count)
-    elif args.down:
-        stream = generate_down(matrix, args.a0 or 0, args.b0 or 0, args.count)
-    else:
-        stream = generate_recursive(matrix, args.a0 or 0, args.b0 or 0, args.count)
-    return 0, _byte_blocks(stream._packed_blocks(), matrix.m, args.format)
+    spec = SequenceSpec(matrix, args.a0 or 0, args.b0 or 0, "down" if args.down else "up", args.count)
+    blocks = _affine_blocks(*_affine(spec, args.shift, args.engine == "direct"), packed=True)
+    return 0, _byte_blocks(blocks, matrix.m, args.format)
 
 
 def _cmd_matrix(args) -> tuple[int, Iterable[bytes]]:
@@ -205,10 +203,9 @@ def _cmd_verify(args) -> tuple[int, Iterable[bytes]]:
 
 
 def _cmd_analyze(args) -> tuple[int, Iterable[bytes]]:
-    from .analysis import _CHUNK, _analyze, format_report
+    from .analysis import _analyze, format_report
 
-    packed = _read_words(args.input, args.m, args.format)
-    report = _analyze(_unpacked(packed), _pieces(packed, _CHUNK), args.m, args.max_r)
+    report = _analyze(_read_words(args.input, args.m, args.format), args.m, args.max_r)
     return int(args.command == "verify" and not report.ok), [format_report(report).encode()]
 
 

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from itertools import chain, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, _tables_of, as_bitvector, rank_of_words
-from .formats import _SPACE, _ascii_int, _check_m, _packed, _unpacked
+from .formats import _SPACE, _ascii_int, _check_m, _checked_blocks, _packed, _unpacked
 from .generate import AddressStream
 
 FULLRANK_LIMIT = 0.2887880950866  # limit of prod(1 - 2^-i) as m grows
@@ -361,19 +361,13 @@ def permute_address_bits(stream: AddressStream, perm: Sequence[int]) -> AddressS
     0..2^m - 1 raises ValueError, as `format_lines` does.
     """
     perm = _check_perm(perm, stream.m)
-
-    def blocks(packed: bool = False) -> Iterator[Sequence[int] | bytes]:
-        out = (_permuted(buf, perm) for buf in stream._packed_blocks())
-        return out if packed else map(_unpacked, out)
-
-    permuted = AddressStream(stream.m, stream.count, iter(()))
-    permuted._blocks = blocks
-    return permuted
+    blocks = (_permuted(buf, perm) for buf in _checked_blocks(stream.words(), stream.m))
+    return AddressStream(stream.m, stream.count, chain.from_iterable(map(_unpacked, blocks)))
 
 
 def _permuted(buf: bytes, perm: Sequence[int]) -> bytes:
     # output bit k of every word in `buf` at once: `ones`, a 1 per 64-bit lane, picks input bit perm[k-1]
-    x, ones = (int.from_bytes(b, "little") for b in (buf, _packed([1] * (len(buf) // 8))))
+    x, ones = int.from_bytes(buf, "little"), int.from_bytes((b"\1" + bytes(7)) * (len(buf) // 8), "little")
     return sum((x >> (p - 1) & ones) << k for k, p in enumerate(perm)).to_bytes(len(buf), "little")
 
 

@@ -7,8 +7,9 @@ constant XORed onto a linear map of a contiguous counter range:
     address(n) = const ^ combine(basis, (start + n) mod 2^m)
 
 and one kernel, `_affine_blocks`, evaluates that closed form for all of
-them.  With ``D`` the difference words of ``V`` (row 1 kept, row i
-replaced by ``V[i-1] ^ V[i]``), the engines map to (basis, const, start):
+them.  One map, `_affine`, gives each variant its (basis, const, start);
+with ``D`` the difference words of ``V`` (row 1 kept, row i replaced by
+``V[i-1] ^ V[i]``), they are:
 
 * direct(V): ``(V, 0, 0)``; address ``n`` is the rows picked by ``n``;
 * recursive(V, a0, b0): ``(D, a0 ^ combine(D, b0), b0)``; the up-run that
@@ -35,8 +36,9 @@ holding every combination of rows 8j..8j+7.  They are built on the first
 run that needs them, so any later run over the same matrix costs only
 its addresses: ``combine`` is ceil(m/8) lookups, and a run of at most
 256 addresses takes its words straight from table 0.  A longer run goes
-1024 words a block, as a list of ints for `words()`, or for the CLI as
-packed 64-bit words, one big-int XOR per block with no word gate.
+1024 words a block: lists of ints, chained into the one word iterator
+of an `AddressStream`, or for the CLI's `gen` packed 64-bit words, one
+big-int XOR per block, formatted with no stream and no word gate.
 
 Every full-length run over a full-rank matrix visits each of the ``2^m``
 addresses exactly once, for any choice of initial address and initial
@@ -48,7 +50,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator, Sequence
 
-from .formats import _BLOCK, _checked_blocks, _packed
+from .formats import _BLOCK, _packed
 from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, _Value, as_bitvector
 
 
@@ -71,8 +73,9 @@ def _affine_blocks(
         size = min(_BLOCK, 1 << (count - 1).bit_length())
         table = [high ^ t for high in tables[1][: size // len(table)] for t in table]
     low_mask = len(table) - 1
-    if packed:
-        T, rep = (int.from_bytes(_packed(words), "little") for words in (table, [1] * len(table)))
+    if packed:  # rep: a 1 in every 64-bit lane
+        T = int.from_bytes(_packed(table), "little")
+        rep = int.from_bytes((b"\1" + bytes(7)) * len(table), "little")
     mask = (1 << m) - 1
     c = start & mask
     while count > 0:
@@ -149,29 +152,37 @@ class AddressStream:
 
     def __init__(self, m: int, count: int, word_iter: Iterator[int]):
         self.m, self.count, self._word_iter = m, count, word_iter
-        self._blocks = None  # until read, a source may give the words as `_affine_blocks` does
 
     def __iter__(self) -> "AddressStream":
         return self
 
     def __next__(self) -> BitVector:
-        return BitVector(self.m, next(self.words()))
+        return BitVector(self.m, next(self._word_iter))
 
     def words(self) -> Iterator[int]:
-        if self._blocks is not None:
-            self._word_iter, self._blocks = chain.from_iterable(self._blocks()), None
         return self._word_iter
 
-    def _packed_blocks(self) -> Iterator[bytes]:
-        # the remaining words `_packed`: `_blocks`' own, else through the word gate
-        blocks, self._blocks = self._blocks, None
-        return _checked_blocks(self.words(), self.m) if blocks is None else blocks(packed=True)
+
+def _affine(spec: SequenceSpec, shift: int | None = None, direct: bool = False) -> tuple:
+    # the `_affine_blocks` arguments of `spec`'s run, up or down, or of the direct or the shifted
+    # run over its matrix, which read only its matrix and count
+    matrix, m, count = spec.matrix, spec.m, spec.count
+    if direct:
+        return matrix._byte_tables(), m, 0, 0, count
+    tables = matrix._difference()._byte_tables()
+    if shift is not None:
+        return tables, m, 0, shift, count
+    b0 = spec.b0.word
+    const = spec.a0.word ^ _combine(tables, b0)
+    if spec.direction == "up":
+        return tables, m, const, b0, count
+    # combine(D, 2^m - 1) telescopes to the last row of V
+    return tables, m, const ^ matrix.row_words[-1], -b0 & ((1 << m) - 1), count
 
 
-def _stream(tables: Sequence[Sequence[int]], m: int, const: int, start: int, count: int) -> AddressStream:
-    stream = AddressStream(m, count, iter(()))
-    stream._blocks = lambda packed=False: _affine_blocks(tables, m, const, start, count, packed)
-    return stream
+def _check_shift(shift: int, m: int) -> None:
+    if shift.__class__ is not int or not 0 <= shift < (1 << m):
+        raise ValueError(f"shift must be in 0..2^{m}-1, got {shift}")
 
 
 def generate_direct(matrix: GenerationMatrix, count: int | None = None) -> AddressStream:
@@ -180,8 +191,8 @@ def generate_direct(matrix: GenerationMatrix, count: int | None = None) -> Addre
     Runs the plain binary counter from zero; with the identity matrix
     the output is the counter itself.
     """
-    spec = SequenceSpec(matrix, 0, 0, "up", count)
-    return _stream(matrix._byte_tables(), spec.m, 0, 0, spec.count)
+    spec = SequenceSpec(matrix, count=count)
+    return AddressStream(spec.m, spec.count, chain.from_iterable(_affine_blocks(*_affine(spec, direct=True))))
 
 
 def generate_recursive(
@@ -234,20 +245,11 @@ def generate_shifted(matrix: GenerationMatrix, shift: int, count: int | None = N
     which the kernel evaluates as ``(D, 0, shift)``: the starting
     address and the row combination of the counter start cancel.
     """
-    if shift.__class__ is not int or not 0 <= shift < (1 << matrix.m):
-        raise ValueError(f"shift must be in 0..2^{matrix.m}-1, got {shift}")
+    _check_shift(shift, matrix.m)
     spec = SequenceSpec(matrix, count=count)
-    return _stream(matrix._difference()._byte_tables(), spec.m, 0, shift, spec.count)
+    return AddressStream(spec.m, spec.count, chain.from_iterable(_affine_blocks(*_affine(spec, shift))))
 
 
 def generate(spec: SequenceSpec) -> AddressStream:
     """Run the recursive engine a SequenceSpec describes, up or down."""
-    m = spec.m
-    tables = spec.matrix._difference()._byte_tables()
-    b0 = spec.b0.word
-    const = spec.a0.word ^ _combine(tables, b0)
-    if spec.direction == "down":
-        # combine(D, 2^m - 1) telescopes to the last row of V
-        const ^= spec.matrix.row_words[-1]
-        b0 = -b0 & ((1 << m) - 1)
-    return _stream(tables, m, const, b0, spec.count)
+    return AddressStream(spec.m, spec.count, chain.from_iterable(_affine_blocks(*_affine(spec))))

@@ -156,6 +156,20 @@ def test_sparse_input_at_m28_allocates_no_bit_map():
         3, BitVector(28, 5), BitVector(28, 2))
 
 
+def test_analyze_of_a_generated_stream_at_m20_peaks_below_16_mb():
+    # the words are packed into one 8 MB buffer as they arrive; a list of 2^20 ints beside it
+    # once took the peak to 44 MB
+    V = graycode_matrix(20)
+    tracemalloc.start()
+    try:
+        report = analyze(generate_recursive(V).words(), 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.complete and report.hamming_histogram == {1: (1 << 20) - 1}
+    assert peak < 16 << 20, f"peaked at {peak / (1 << 20):.1f} MB"
+
+
 def _reference_completeness(words, m):
     """(distinct, first duplicate, first missing) of `words`, from a plain loop over a set."""
     seen, duplicate = set(), None

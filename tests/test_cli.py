@@ -1269,8 +1269,8 @@ def test_analyze_by_columns_matches_the_library_over_several_chunks(m):
 
 def test_no_command_gates_the_words_its_own_reader_produced(monkeypatch):
     # the reader holds every word to the range rule once; verify, analyze and permute hand its
-    # packed buffer on, so neither the word gate, which packs and checks a word list again, nor
-    # an AddressStream around the words ever runs
+    # packed buffer on, and gen formats the kernel's packed blocks, so neither the word gate,
+    # which packs and checks a word list again, nor an AddressStream around the words ever runs
     for name in ("addrseq.analysis", "addrseq.families", "addrseq.generate"):
         importlib.import_module(name)
     runs = []
@@ -1279,11 +1279,15 @@ def test_no_command_gates_the_words_its_own_reader_produced(monkeypatch):
         for argv in (["verify", "-m", "6"], ["analyze", "-m", "6"],
                      ["permute", "-m", "6", "--perm", "6,5,4,3,2,1", "--format", fmt]):
             runs.append((argv, text, run_main(argv, text)))
+        for variant in ([], ["--down", "--a0", "0x15", "--b0", "0x7"], ["--shift", "12"],
+                        ["--engine", "direct"]):
+            argv = ["gen", "-m", "6", "--family", "random:1", *variant, "--format", fmt]
+            runs.append((argv, "", run_main(argv)))
 
     def refuse(*args):
         raise AssertionError("a CLI command ran the word gate or built a stream")
 
-    for attr, binders in (("_checked_blocks", {"formats", "analysis", "generate"}),
+    for attr, binders in (("_checked_blocks", {"formats", "analysis", "families"}),
                           ("AddressStream", {"generate", "families"})):
         bound = [mod for name, mod in sys.modules.items()
                  if name.split(".")[0] == "addrseq" and hasattr(mod, attr)]

@@ -4,7 +4,7 @@ from collections import Counter
 from itertools import islice, permutations, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from addrseq import (
@@ -351,10 +351,15 @@ def reference_census(m, samples, seed):
     return {r: ranks.count(r) for r in range(m + 1)}
 
 
+# a failing census is reported as found: shrinking it replays the reference, at up to 0.6 s an
+# example, for minutes
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
 # the lane sampler cuts the stream into at most B lanes of ceil(samples / B) matrices each, of
 # which only the last can run short: B fills one round of B lanes, B + 1 gives 513 lanes whose
 # last holds 1 sample, and 2B + 3 gives 684 lanes of 3 whose last holds 2
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=_NO_SHRINK)
 @given(
     m=st.integers(1, 12),
     samples=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]) | st.integers(1, 3 * B),
@@ -374,7 +379,7 @@ def test_lane_sampler_matches_the_reference_at_every_lane_width(m, samples):
 
 # the state lanes are 64 bits wide up to m = 32 and 128 bits from m = 33: both sides of that
 # edge, in one round, in a full round and in rounds whose last lane runs short
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, phases=_NO_SHRINK)
 @given(
     m=st.sampled_from([31, 32, 33]),
     samples=st.sampled_from([1, B - 1, B + 1, 2 * B + 3]) | st.integers(1, 3 * B),

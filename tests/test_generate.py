@@ -21,7 +21,8 @@ from addrseq import (
     random_fullrank_matrix,
     verify_complete,
 )
-from addrseq.formats import _BLOCK, FORMATS, _byte_blocks, _packed, _unpacked
+from addrseq.formats import _BLOCK, FORMATS, _byte_blocks
+from addrseq.generate import _affine, _affine_blocks
 
 import _line_format
 from _stepper import gray_address, step_words
@@ -257,14 +258,18 @@ def engine_cases(draw):
 
 
 def engine_runs(case):
-    """A maker of each engine's stream for `case`, with the words the stepper gives for it."""
+    """Each engine's stream for `case`, the `_affine` arguments `gen` passes for it, and the words
+    the stepper gives for it."""
     V, m, a0, b0, shift, count = case
-    rows = V.row_words
+    rows, plain = V.row_words, SequenceSpec(V, count=count)
     return [
-        (lambda: generate_direct(V, count), step_words(list(accumulate(rows, xor)), m, count=count)),
-        (lambda: generate_recursive(V, a0, b0, count), step_words(rows, m, a0, b0, count)),
-        (lambda: generate_down(V, a0, b0, count), step_words(rows, m, a0, b0, count, down=True)),
-        (lambda: generate_shifted(V, shift, count),
+        (generate_direct(V, count), (plain, None, True),
+         step_words(list(accumulate(rows, xor)), m, count=count)),
+        (generate_recursive(V, a0, b0, count), (SequenceSpec(V, a0, b0, "up", count),),
+         step_words(rows, m, a0, b0, count)),
+        (generate_down(V, a0, b0, count), (SequenceSpec(V, a0, b0, "down", count),),
+         step_words(rows, m, a0, b0, count, down=True)),
+        (generate_shifted(V, shift, count), (plain, shift),
          step_words(rows, m, gray_address(rows, shift), shift, count)),
     ]
 
@@ -279,13 +284,13 @@ def test_every_engine_matches_the_stepper(case):
     V, m, a0, b0, shift, count = case
     full = 1 << m
     runs = engine_runs(case)
-    for make, words in runs:
-        assert run(make()) == words
+    for stream, affine, words in runs:
+        assert run(stream) == words
         # the packed blocks `gen` formats give the stepper's lines in every format
         for fmt in FORMATS:
-            text = b"".join(_byte_blocks(make()._packed_blocks(), m, fmt)).decode()
+            text = b"".join(_byte_blocks(_affine_blocks(*_affine(*affine), packed=True), m, fmt)).decode()
             assert text == "".join(line + "\n" for line in _line_format.format_lines(words, m, fmt))
-    (_, up), (_, down), (_, shifted) = runs[1:]
+    (*_, up), (*_, down), (*_, shifted) = runs[1:]
     if count == full:
         assert down == up[::-1]
         assert [address_at(V, p).word for p in range(full)] == step_words(V.row_words, m)
@@ -294,17 +299,36 @@ def test_every_engine_matches_the_stepper(case):
         assert address_at(V, (shift + count - 1) % full).word == shifted[-1]
 
 
-def test_a_stream_gives_its_words_once_as_ints_or_packed():
+def test_a_stream_gives_its_words_once():
     V = random_fullrank_matrix(12, seed=5)
     want = run(generate_recursive(V, 3, 9))
-    stream = generate_recursive(V, 3, 9)
-    assert b"".join(stream._packed_blocks()) == _packed(want)
-    assert run(stream) == []
-    # once read as ints, the rest comes packed through the word gate
+    # a BitVector first, then the rest as ints, then nothing
     stream = generate_recursive(V, 3, 9)
     first = next(stream).word
-    assert [first, *_unpacked(b"".join(stream._packed_blocks()))] == want
-    assert list(stream._packed_blocks()) == []
+    assert [first, *stream.words()] == want
+    assert run(stream) == []
+
+
+@st.composite
+def b0_cases(draw):
+    """A matrix, a0, b0 and a full or partial count, at m = 2..12."""
+    m = draw(st.integers(2, 12))
+    full = 1 << m
+    V = random_fullrank_matrix(m, seed=draw(st.integers(0, 2**32)))
+    count = draw(st.sampled_from([full, draw(st.integers(0, full))]))
+    return V, m, draw(st.integers(0, full - 1)), draw(st.integers(0, full - 1)), count
+
+
+@settings(max_examples=200, deadline=None)
+@given(b0_cases())
+def test_flipping_the_top_bit_of_b0_never_changes_a_run(case):
+    # the flip XORs the same row of D into the run's constant and into every counter combination
+    V, m, a0, b0, count = case
+    flipped = b0 ^ 1 << (m - 1)
+    for down, engine in ((False, generate_recursive), (True, generate_down)):
+        want = step_words(V.row_words, m, a0, b0, count, down)
+        assert step_words(V.row_words, m, a0, flipped, count, down) == want
+        assert run(engine(V, a0, b0, count)) == run(engine(V, a0, flipped, count)) == want
 
 
 def test_runs_on_one_matrix_do_not_disturb_each_other():
