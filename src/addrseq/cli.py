@@ -9,7 +9,9 @@ Each handler returns its exit code and its output as byte blocks; `_read_bytes`
 is the one reader (`_read_words` packs the words of any input into one buffer,
 64 bits a word, the buffer the analysis reads) and `_write` the one writer, so a
 reader that closes the pipe early ends every command quietly with that command's
-own exit code.  `gen` builds one SequenceSpec and formats the engine kernel's
+own exit code.  Input in the canonical shape of bin, dec or hex, n >= 1 lines
+each ended by ``\n`` and nothing else, goes into that buffer in bulk with no
+object per line; any other input, csv included, goes through `parse_lines`.  `gen` builds one SequenceSpec and formats the engine kernel's
 packed blocks for it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
@@ -27,12 +29,13 @@ from . import __version__
 
 # formats serves every command (integer options, parsing, writing); each handler
 # imports the rest of what it runs, so a spawn loads no module it does not use
-from .formats import FORMATS, _BLOCK, _ascii_int, _byte_blocks, _check_m, _packed, _packed_bin, _pieces
+from .formats import FORMATS, _BLOCK, _ascii_int, _byte_blocks, _check_m, _packed, _packed_input, _pieces
 from .formats import _split_lines, parse_lines
 
 # verify holds every word in 8 bytes, a presence map (a byte per address for a full
-# period, a set of the words for a sparse input) and a byte per distance: about 51 MB
-# at m=20 for canonical bin input and, parsing lines, 143 MB for any other, doubling per bit
+# period, a set of the words for a sparse input) and a byte per distance: at m=20 about
+# 51 MB for canonical bin, 41 MB for canonical dec and 35 MB for canonical hex, read in bulk,
+# and, parsing lines, 143 MB for any other input and 545 MB for csv, doubling per bit
 DEFAULT_VERIFY_CAP = 28
 
 FAMILY_HELP = (
@@ -126,10 +129,10 @@ def _read_bytes(path: str | None) -> bytes:
 
 
 def _read_words(path: str | None, m: int, fmt: str) -> bytes:
-    # the input's words `_packed` and in range: canonical bin read by columns, any other input by
-    # `parse_lines`, where bytes that are not UTF-8 decode to surrogates, so a bad byte names its line
+    # the input's words `_packed` and in range: canonical bin, hex and dec read in bulk, any other
+    # input by `parse_lines`, where bytes that are not UTF-8 decode to surrogates, so a bad byte names its line
     data = _read_bytes(path)
-    packed = _packed_bin(data, m) if fmt in ("bin", "auto") else None
+    packed = _packed_input(data, m, fmt)
     if packed is None:  # the parse is the peak: neither the input nor its lines outlast their use
         lines, data = _split_lines(data.decode("utf-8", "surrogateescape")), None
         words, lines = parse_lines(lines, m, fmt), None

@@ -13,7 +13,9 @@ digits: 0/1 for bin, 0-9 for dec, and for hex an optional ``0x`` and hex
 digits.  Signs, underscores and non-ASCII characters make a line bad,
 whatever ``int()`` would make of them.  A csv row's ``address_dec`` must
 equal its ``address_bin``, its ``n`` and ``hamming_to_prev`` are ASCII digits,
-and only row 0 may leave the distance empty.  ``auto`` detection prefers csv
+and only row 0 may leave the distance empty.  The rows' ``n`` count 0, 1,
+2, ..., and each row after the first gives its address's distance to the
+row before.  ``auto`` detection prefers csv
 (header present), then bin (every line is exactly m characters of 0/1).
 Lines that all have exactly ceil(m/4) hex digits read as hex unless they are
 also canonical decimal (no leading zeros); all-digit lines that are not
@@ -35,9 +37,19 @@ from one XOR of the block with itself a word up.
 The parser takes the whole input at once: the set of token lengths,
 ``bytes.translate`` character classes, ``map(int)`` and ``max()``.  Only
 when that finds a bad line does it bisect for the first one, so every
-error names its line.  Canonical bin, n >= 1 lines of exactly m digits 0/1,
-each ended by ``\\n``, and nothing else, always detects as bin; `_packed_bin`
-reads it by columns instead, the inverse of the bin emit.
+error names its line.  csv order, which no row shows on its own, is
+checked over the rows before the first bad one, all at once.
+
+`_packed_input` reads raw bytes in the canonical shape of a format ``gen``
+writes, n >= 1 lines each ended by ``\\n`` and nothing else, straight into
+packed words, the inverse of the emit.  Canonical bin (lines of exactly m
+digits 0/1) and hex (lines of exactly ceil(m/4) hex digits of either case,
+the first below 2^(m - 4 (ceil(m/4) - 1))) go by digit columns; canonical
+dec (lines of ASCII digits) goes in pieces.  Under ``auto`` it takes only
+what `_detect` would read the same way without weighing it: bin, hex with
+a letter, and dec whose lines are not all of one width that is hex-shaped
+or all 0/1.  Everything else, and a dec value of 2^m or more, is left to
+the parser, which names the bad line.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ import sys
 from array import array
 from functools import cached_property, partial
 from itertools import compress, count, islice, repeat
-from operator import not_
+from operator import ne, not_
 from typing import Callable, Iterable, Iterator, Sequence
 
 FORMATS = ("bin", "dec", "hex", "csv")
@@ -56,6 +68,7 @@ CSV_HEADER = "n,address_dec,address_bin,hamming_to_prev"
 _BIN, _DEC, _HEX = b"01", b"0123456789", b"0123456789abcdefABCDEF"
 _SPACE = " \t\n\r\x0b\x0c"  # ASCII whitespace, what bytes.strip() strips
 _BLOCK = 1024  # words per formatted block, so a pipe sees one write per 1024 lines
+_PIECE = 1 << 16  # bytes of canonical dec converted at a time, so no list of every line is held
 
 
 class SequenceParseError(ValueError):
@@ -148,7 +161,10 @@ def _checked_blocks(words: Iterable[int], m: int) -> Iterator[bytes]:
 # _DIGIT[j] translates a byte to the ASCII digit of its bit j, which runs 2^j zeros, 2^j ones
 _DIGIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 _ONES = bytes(map(int.bit_count, range(256)))  # translates a byte to its count of ones
-_BIT = [bytes.maketrans(b"01", bytes([0, 1 << j])) for j in range(8)]  # _DIGIT's inverse: digit to bit j
+_NAMES = list(map(str, range(65)))  # each distance as csv writes it
+# _PLACE[b][j] translates a base-2^b digit to its value b * j bits up: digit i's place in its byte lane
+_PLACE = {b: [bytes.maketrans(s, bytes(int(c, 16) << b * j for c in s.decode())) for j in range(8 // b)]
+          for b, s in ((1, _BIN), (4, _HEX))}
 
 
 def _bit_columns(buf: bytes, m: int) -> Iterator[bytes]:
@@ -220,18 +236,70 @@ def _columns(columns: Iterable[bytes], n: int, head: bytes, d: int, tail: bytes)
     return out
 
 
-def _packed_bin(data: bytes, m: int) -> bytearray | None:
-    # the words of canonical bin `data` `_packed`, else None: digit column m - 1 - b, one strided
-    # slice translated by _BIT, is bit b; a byte lane's columns add up as ints, with no carry
-    n = len(data) // (m + 1)
-    ends = b"\n" * n  # each line's \n in place, and nothing but 0/1 besides
-    if not n or len(data) != n * (m + 1) or data[m :: m + 1] != ends or data.translate(None, _BIN) != ends:
+def _packed_input(data: bytes, m: int, fmt: str) -> bytes | None:
+    """The words of `data` `_packed`, when it is canonical for the format `fmt` reads it in, else None.
+
+    Under ``auto``, hex needs a letter, and dec lines of more than one width
+    or not all 0/1: the rest is what `_detect` weighs, which the parser does.
+    """
+    auto, packed = fmt == "auto", None
+    if fmt in ("bin", "auto"):
+        packed = _packed_digits(data, m, 1, auto)
+    if packed is None and fmt in ("hex", "auto"):
+        packed = _packed_digits(data, m, 4, auto)
+    if packed is None and fmt in ("dec", "auto"):
+        packed = _packed_dec(data, m, auto)
+    return packed
+
+
+def _packed_digits(data: bytes, m: int, b: int, auto: bool) -> bytearray | None:
+    # canonical bin (b = 1) or hex (b = 4) `data` `_packed`, else None: digit column d - 1 - i, one
+    # strided slice translated by _PLACE, holds digit i's value at its place in byte lane b * i // 8;
+    # a lane's columns add up as ints, with no carry
+    d, digits = -(-m // b), _BIN if b == 1 else _HEX
+    n = len(data) // (d + 1)
+    ends = b"\n" * n  # each line's \n in place, and nothing but digits besides
+    if not n or len(data) != n * (d + 1) or data[d :: d + 1] != ends or data.translate(None, digits) != ends:
         return None
-    out = bytearray(8 * n)
+    top = m - b * (d - 1)  # bits of the first digit
+    if top < b and data[:: d + 1].translate(None, digits[: 1 << top]):
+        return None
+    if auto and b == 4 and not any(map(data.__contains__, b"abcdefABCDEF")):
+        return None  # all-digit hex, which _detect weighs against dec
+    out, per = bytearray(8 * n), 8 // b  # digits per byte lane
     for k in range((m + 7) // 8):
-        columns = (data[m - 1 - b :: m + 1].translate(_BIT[b & 7]) for b in range(8 * k, min(8 * k + 8, m)))
+        places = range(per * k, min(per * k + per, d))
+        columns = (data[d - 1 - i :: d + 1].translate(_PLACE[b][i % per]) for i in places)
         out[k::8] = sum(int.from_bytes(c, "little") for c in columns).to_bytes(n, "little")
     return out
+
+
+def _packed_dec(data: bytes, m: int, auto: bool) -> bytes | None:
+    # canonical dec `data` `_packed`, else None, converted _PIECE bytes at a time, each piece cut at a
+    # line end; a value of 2^m or more is None too, left for the line path to name
+    n = data.count(b"\n")
+    ends = b"\n" * n
+    if not n or data[:1] == b"\n" or data[-1:] != b"\n" or b"\n\n" in data or data.translate(None, _DEC) != ends:
+        return None
+    width = data.index(b"\n")
+    if auto and len(data) == n * (width + 1) and data[width :: width + 1] == ends and (
+        width == (m + 3) // 4 or not data.translate(None, _BIN + b"\n")
+    ):
+        return None  # lines of one width, hex-shaped or all 0/1
+    words, at = array("Q"), 0
+    try:
+        while at < len(data):
+            end = data.find(b"\n", at + _PIECE) + 1 or len(data)
+            piece = array("Q", map(int, data[at:end].split()))
+            if max(piece) >> m:
+                return None
+            words += piece
+            at = end
+    except (OverflowError, ValueError):  # 2^64 or more, or more digits than int() reads
+        return None
+    if sys.byteorder != "little":
+        words.byteswap()
+    return words.tobytes()
 
 
 def detect_format(lines: Iterable[str], m: int) -> str:
@@ -276,10 +344,33 @@ def _parse(tokens: _Tokens, m: int, fmt: str) -> list[int]:
     body = _Tokens(tokens.items[skip:]) if skip else tokens
     words = _convert(body, m, fmt)
     if isinstance(words, str):
-        # locate pass, on failure only: bisect for the first bad token and ask it why
-        index = skip + _first_bad(body.items, m, fmt)
-        raise _BadToken(index, _convert(_Tokens([tokens.items[index]]), m, fmt))
+        # locate pass, on failure only: bisect for the first bad token and ask it why; a csv row
+        # out of order before it, though good on its own, comes first
+        index = _first_bad(body.items, m, fmt)
+        if fmt == "csv":
+            rows = _Tokens(body.items[:index])
+            _check_order(rows, _convert(rows, m, fmt), m, skip)
+        raise _BadToken(skip + index, _convert(_Tokens([body.items[index]]), m, fmt))
+    if fmt == "csv":
+        _check_order(body, words, m, skip)
     return words
+
+
+def _check_order(rows: _Tokens, words: list[int], m: int, skip: int) -> None:
+    # raise at the first of the csv `rows`, each good alone and read as `words`, whose n is not its
+    # index, or, after the first, whose distance is not its address's to the row before
+    if not words:
+        return
+    n = next(compress(count(), map(ne, map(int, rows.cells[::4]), count())), len(words))
+    # rows 1..n - 1 have their own number, so none leaves its distance empty; a distance written
+    # otherwise than in _NAMES, with a leading zero, is read by int()
+    buf, dists = _packed(islice(words, n)), rows.cells[7 : 4 * n : 4]
+    ones = _diffs(buf, buf[:8], m)[1][1:]
+    for k in compress(count(), map(ne, dists, map(_NAMES.__getitem__, ones))):
+        if int(dists[k]) != ones[k]:
+            raise _BadToken(skip + 1 + k, "hamming_to_prev is not the distance to the row before")
+    if n < len(words):
+        raise _BadToken(skip + n, "n does not count the rows from 0")
 
 
 class _BadToken(Exception):
@@ -298,6 +389,11 @@ class _Tokens:
     @cached_property
     def lengths(self) -> set[int]:
         return set(map(len, self.items))
+
+    @cached_property
+    def cells(self) -> list[str]:
+        """The comma-separated cells of every token, in one list."""
+        return ",".join(self.items).split(",")
 
     @cached_property
     def charsets(self) -> set[bytes]:
@@ -357,8 +453,7 @@ def _convert(tokens: _Tokens, m: int, fmt: str) -> list[int] | str:
             return "expected 4 csv columns"
         if not items:
             return []
-        cells = ",".join(items).split(",")
-        ns, decs, bins, dists = (cells[k::4] for k in range(4))
+        ns, decs, bins, dists = (tokens.cells[k::4] for k in range(4))
         words = _convert(_Tokens(bins), m, "bin")
         if isinstance(words, str):
             return f"address_bin is not {m} bits"

@@ -71,6 +71,11 @@ def parse(lines, m, fmt="auto"):
             # the distance may be empty on the row numbered 0 only
             if not (n and set(n) <= DEC and set(dist) <= DEC and (dist or n == "0")):
                 raise SequenceParseError(i, ln, "n and hamming_to_prev must be ASCII digits")
+            # n counts the rows from 0, and every row after the first gives its distance to the one before
+            if int(n) != len(out):
+                raise SequenceParseError(i, ln, "n does not count the rows from 0")
+            if out and int(dist) != bin(int(bits, 2) ^ out[-1]).count("1"):
+                raise SequenceParseError(i, ln, "hamming_to_prev is not the distance to the row before")
             out.append(int(bits, 2))
         return out
 

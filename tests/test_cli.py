@@ -450,8 +450,10 @@ def test_gen_csv_piped_into_verify_passes(capsys, monkeypatch):
         ("2,3,0010,1", "address_dec does not match address_bin"),
         ("x,2,0010,1", "n and hamming_to_prev must be ASCII digits"),
         ("2,2,0010,", "n and hamming_to_prev must be ASCII digits"),
+        ("7,2,0010,2", "n does not count the rows from 0"),
+        ("2,2,0010,1", "hamming_to_prev is not the distance to the row before"),
     ],
-    ids=["words", "dec", "n", "distance"],
+    ids=["words", "dec", "n", "distance", "order", "hamming"],
 )
 def test_csv_row_whose_columns_disagree_names_its_line(capsys, monkeypatch, row, reason):
     lines = list(addrseq.format_lines(range(16), 4, "csv"))
@@ -460,6 +462,16 @@ def test_csv_row_whose_columns_disagree_names_its_line(capsys, monkeypatch, row,
     code, out, err = run_cli(capsys, "verify", "-m", "4")
     assert (code, out) == (2, "")
     assert err == f"addrseq: line 4: {reason}: {row!r}\n"
+
+
+def test_analyze_refuses_csv_rows_out_of_order(capsys, monkeypatch):
+    # rows numbered 0, 7 and 2, with distances 3 and 0 where the addresses differ in one bit each,
+    # once read as a report with exit 0
+    rows = ["0,0,0000,", "7,1,0001,3", "2,3,0011,0"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(as_text(["n,address_dec,address_bin,hamming_to_prev", *rows])))
+    code, out, err = run_cli(capsys, "analyze", "-m", "4")
+    assert (code, out) == (2, "")
+    assert err == "addrseq: line 3: n does not count the rows from 0: '7,1,0001,3'\n"
 
 
 @pytest.mark.parametrize(
@@ -1163,13 +1175,13 @@ def test_gen_and_permute_keep_the_exit_contract(runs, data):
         assert out == expected
 
 
-# -- the column reader --------------------------------------------------------------------
+# -- the bulk reader ----------------------------------------------------------------------
 
 
 def _read_by_cli(data, m, fmt):
-    """`_read_words` on `data` as stdin: its words or parse error, and whether it read by columns.
+    """`_read_words` on `data` as stdin: its words or parse error, and whether it read in bulk.
 
-    A read went by columns when it never called the line parser.
+    A read went in bulk when it never called the line parser.
     """
     saved, parse, calls = sys.stdin, addrseq.cli.parse_lines, []
 
@@ -1196,52 +1208,95 @@ def _read_by_lines(data, m, fmt):
         return exc.lineno, str(exc)
 
 
-# edits of canonical bin that make it read by lines: each is one near miss of the shape
+def _canonical_for(data, m, fmt):
+    """Whether `data` has the canonical shape of the format `fmt` reads it in, and is in range.
+
+    n >= 1 lines, each ended by \\n: exactly m digits 0/1 for bin, exactly
+    ceil(m/4) hex digits of either case, the first of them in range, for
+    hex, and ASCII digits for dec.  Under auto, hex needs a letter and dec
+    lines of more than one width, or not all 0/1; the rest is what
+    detection weighs.
+    """
+    if not re.fullmatch(rb"([^\n]+\n)+", data) or fmt == "csv":
+        return False
+    lines, d = data.split(b"\n")[:-1], (m + 3) // 4
+    is_bin = all(re.fullmatch(rb"[01]{%d}" % m, ln) for ln in lines)
+    is_hex = all(re.fullmatch(rb"[0-9a-fA-F]{%d}" % d, ln) for ln in lines) and all(
+        int(ln[:1], 16) < 1 << (m - 4 * (d - 1)) for ln in lines)
+    is_dec = all(re.fullmatch(rb"[0-9]+", ln) for ln in lines) and max(map(int, lines)) < 1 << m
+    if fmt != "auto":
+        return {"bin": is_bin, "hex": is_hex, "dec": is_dec}[fmt]
+    one_width = len(set(map(len, lines))) == 1
+    weighed = one_width and (len(lines[0]) == d or all(re.fullmatch(rb"[01]+", ln) for ln in lines))
+    return is_bin or is_hex and re.search(rb"[a-fA-F]", data) is not None or is_dec and not weighed
+
+
+# edits of a canonical input: each is one near miss of its shape, or a line of another shape
 _EDITS = {
-    "no final newline": lambda lines: "\n".join(lines).encode(),
-    "crlf": lambda lines: "".join(ln + "\r\n" for ln in lines).encode(),
-    "trailing blank line": lambda lines: as_text(lines + [""]).encode(),
-    "short line": lambda lines: as_text(lines[:-1] + [lines[-1][1:]]).encode(),
-    "long line": lambda lines: as_text(["0" + lines[0]] + lines[1:]).encode(),
-    "a 2": lambda lines: as_text(["2" + lines[0][1:]] + lines[1:]).encode(),
+    "no final newline": lambda lines, m: "\n".join(lines).encode(),
+    "crlf": lambda lines, m: "".join(ln + "\r\n" for ln in lines).encode(),
+    "trailing blank line": lambda lines, m: as_text(lines + [""]).encode(),
+    "blank line": lambda lines, m: as_text(lines[:1] + [""] + lines[1:]).encode(),
+    "short line": lambda lines, m: as_text(lines[:-1] + [lines[-1][1:]]).encode(),
+    "long line": lambda lines, m: as_text(["0" + lines[0]] + lines[1:]).encode(),
+    "a 2": lambda lines, m: as_text(["2" + lines[0][1:]] + lines[1:]).encode(),
+    "an f first": lambda lines, m: as_text(["f" + lines[0][1:]] + lines[1:]).encode(),
+    "0x prefix": lambda lines, m: as_text(["0x" + lines[0]] + lines[1:]).encode(),
+    "sign": lambda lines, m: as_text(lines[:-1] + ["+" + lines[-1]]).encode(),
+    "2^m": lambda lines, m: as_text(lines + [str(1 << m)]).encode(),
+    "2^64": lambda lines, m: as_text(lines + [str(1 << 64)]).encode(),
     # a line split in two: the length and every (m+1)-th newline stay, with nothing but 0, 1 and \n
-    "split line": lambda lines: as_text([lines[0][:-1] + "\n"] + lines[1:]).encode(),
-    "empty": lambda lines: b"",
+    "split line": lambda lines, m: as_text([lines[0][:-1] + "\n"] + lines[1:]).encode(),
+    "empty": lambda lines, m: b"",
 }
 
 
 @st.composite
 def reader_inputs(draw):
-    """A width, an input format, raw input bytes, and whether they are canonical bin.
+    """A width and raw input bytes.
 
-    The bytes are canonical bin, one of its near misses in _EDITS, or the
-    near-miss lines the parser tests draw.
+    The bytes are canonical bin, dec or hex (lower or upper case), lines that
+    detection weighs (all-digit hex-shaped lines, dec lines of one width in
+    0/1), one of these with an edit from _EDITS, or the near-miss lines the
+    parser tests draw.
     """
     m = draw(st.integers(1, 64))
-    fmt = draw(st.sampled_from(["auto", "auto", "bin", "bin", "dec", "hex", "csv"]))
     words = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12))
-    lines = [format(w, f"0{m}b") for w in words]
-    kind = draw(st.sampled_from(["canonical"] * 4 + ["near miss"] * 4 + list(_EDITS)))
-    if kind == "canonical":
-        return m, fmt, as_text(lines).encode(), True
-    if kind == "near miss":
-        text = as_text(draw(near_miss_lines(m))).encode("utf-8", "surrogateescape")
-        return m, fmt, text, None  # may be canonical bin, or not
-    return m, fmt, _EDITS[kind](lines), False
+    d, width = (m + 3) // 4, draw(st.integers(1, m + 2))
+    shape = draw(st.sampled_from(["bin", "dec", "hex", "HEX", "digits", "0/1", "near miss"]))
+    if shape == "near miss":
+        return m, as_text(draw(near_miss_lines(m))).encode("utf-8", "surrogateescape")
+    lines = {
+        "bin": lambda: [format(w, f"0{m}b") for w in words],
+        "dec": lambda: list(map(str, words)),
+        "hex": lambda: [format(w, f"0{d}x") for w in words],
+        "HEX": lambda: [format(w, f"0{d}X") for w in words],
+        "digits": lambda: draw(st.lists(st.text("0123456789", min_size=d, max_size=d), min_size=1, max_size=12)),
+        "0/1": lambda: draw(st.lists(st.text("01", min_size=width, max_size=width), min_size=1, max_size=12)),
+    }[shape]()
+    edit = draw(st.sampled_from([None] * 6 + list(_EDITS)))
+    return m, _EDITS[edit](lines, m) if edit else as_text(lines).encode()
 
 
 @settings(max_examples=400, deadline=None)
 @given(reader_inputs())
-@example((2, "auto", b"0\n\n", False))  # a line split in two, at the first width it can be
-@example((3, "bin", b"0\n1\n", False))
-@example((64, "auto", as_text([format((1 << 64) - 1, "064b")]).encode(), True))
+@example((2, b"0\n\n"))  # a line split in two, at the first width it can be
+@example((3, b"0\n1\n"))
+@example((64, as_text([format((1 << 64) - 1, "064b")]).encode()))
+@example((64, b"FFFFFFFFFFFFFFFF\n"))
+@example((64, b"%d\n" % ((1 << 64) - 1)))
+@example((64, b"%d\n" % (1 << 64)))
+@example((5, b"2f\n3f\n"))  # a hex top digit out of range
+@example((12, b"123\n456\n"))  # hex-shaped digits: read as dec, but weighed first
+@example((12, b"10\n11\n"))  # dec of one width in 0/1: read as dec, but weighed first
+@example((8, b"%d\n" % (1 << 8)))
 def test_the_column_reader_matches_the_line_parser(case):
-    m, fmt, data, canonical = case
-    words, by_columns = _read_by_cli(data, m, fmt)
-    assert words == _read_by_lines(data, m, fmt)
-    if canonical is not None:
-        # without this, a reader that never reads by columns would pass
-        assert by_columns == (canonical and fmt in ("auto", "bin"))
+    m, data = case
+    for fmt in ("auto", "bin", "dec", "hex", "csv"):
+        words, in_bulk = _read_by_cli(data, m, fmt)
+        assert words == _read_by_lines(data, m, fmt), fmt
+        # without this, a reader that never reads in bulk would pass
+        assert in_bulk == _canonical_for(data, m, fmt), fmt
 
 
 @pytest.mark.parametrize("m", [1, 8, 9, 64])
@@ -1270,7 +1325,8 @@ def test_analyze_by_columns_matches_the_library_over_several_chunks(m):
 def test_no_command_gates_the_words_its_own_reader_produced(monkeypatch):
     # the reader holds every word to the range rule once; verify, analyze and permute hand its
     # packed buffer on, and gen formats the kernel's packed blocks, so neither the word gate,
-    # which packs and checks a word list again, nor an AddressStream around the words ever runs
+    # which packs and checks a word list again, nor an AddressStream around the words ever runs;
+    # and gen's bin, dec and hex output is read in bulk, never by the line parser
     for name in ("addrseq.analysis", "addrseq.families", "addrseq.generate"):
         importlib.import_module(name)
     runs = []
@@ -1278,11 +1334,11 @@ def test_no_command_gates_the_words_its_own_reader_produced(monkeypatch):
         text = run_main(["gen", "-m", "6", "--family", "random:1", "--format", fmt])[1]
         for argv in (["verify", "-m", "6"], ["analyze", "-m", "6"],
                      ["permute", "-m", "6", "--perm", "6,5,4,3,2,1", "--format", fmt]):
-            runs.append((argv, text, run_main(argv, text)))
+            runs.append((argv, text, run_main(argv, text), fmt != "csv"))
         for variant in ([], ["--down", "--a0", "0x15", "--b0", "0x7"], ["--shift", "12"],
                         ["--engine", "direct"]):
             argv = ["gen", "-m", "6", "--family", "random:1", *variant, "--format", fmt]
-            runs.append((argv, "", run_main(argv)))
+            runs.append((argv, "", run_main(argv), True))
 
     def refuse(*args):
         raise AssertionError("a CLI command ran the word gate or built a stream")
@@ -1294,8 +1350,10 @@ def test_no_command_gates_the_words_its_own_reader_produced(monkeypatch):
         assert {mod.__name__ for mod in bound} >= {f"addrseq.{b}" for b in binders}
         for mod in bound:
             monkeypatch.setattr(mod, attr, refuse)
-    for argv, text, (code, out, err) in runs:
+    parse = addrseq.cli.parse_lines
+    for argv, text, (code, out, err), in_bulk in runs:
         assert (code, err) == (0, "")
+        monkeypatch.setattr(addrseq.cli, "parse_lines", refuse if in_bulk else parse)
         assert run_main(argv, text)[:2] == (code, out), argv
 
 
@@ -1318,17 +1376,25 @@ def test_a_bad_line_is_reported_before_a_bad_option_value(argv, message):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 @pytest.mark.parametrize(
-    "argv",
-    [["verify", "-m", "20", "--max-r", "1"], ["permute", "-m", "20", "--perm", ",".join(map(str, range(20, 0, -1)))]],
-    ids=["verify", "permute"],
+    "argv,fmt",
+    [
+        (["verify", "-m", "20", "--max-r", "1"], "bin"),
+        (["verify", "-m", "20", "--max-r", "1"], "dec"),
+        (["verify", "-m", "20", "--max-r", "1"], "hex"),
+        (["permute", "-m", "20", "--perm", ",".join(map(str, range(20, 0, -1)))], "bin"),
+        (["permute", "-m", "20", "--perm", ",".join(map(str, range(20, 0, -1)))], "dec"),
+    ],
+    ids=["verify-bin", "verify-dec", "verify-hex", "permute-bin", "permute-dec"],
 )
-def test_a_canonical_bin_run_at_m20_peaks_below_60_mb(tmp_path, argv):
-    # the packed buffer is 8 MB at m = 20 and no word list is built (a list of 2^20 ints
-    # took the peak to about 71 MB); a fresh helper spawns the run and reads its peak from
-    # its own RUSAGE_CHILDREN, so that no other test's children count
-    path = tmp_path / "seq.bin"
+def test_a_canonical_run_at_m20_peaks_below_60_mb(tmp_path, argv, fmt):
+    # the packed buffer is 8 MB at m = 20 and no word list is built: bin and hex are read by
+    # digit columns and dec in pieces (a list of 2^20 ints took the peak to about 71 MB, and the
+    # line parser to 142 MB for dec and 150 MB for hex); a fresh helper spawns the run and reads
+    # its peak from its own RUSAGE_CHILDREN, so that no other test's children count
+    path = tmp_path / f"seq.{fmt}"
     with open(path, "wb") as out:
-        subprocess.run([sys.executable, "-m", "addrseq.cli", "gen", "-m", "20", "--family", "random:1"],
+        subprocess.run([sys.executable, "-m", "addrseq.cli", "gen", "-m", "20", "--family", "random:1",
+                        "--format", fmt],
                        stdout=out, env=child_env(), check=True, timeout=120)
     helper = (
         "import resource, subprocess, sys\n"

@@ -177,9 +177,36 @@ def test_detect_format_numbers_its_error_past_blank_lines():
 
 
 def test_csv_distance_may_be_empty_on_row_0_only():
-    assert parse_lines(["0,3,11,", "1,2,10,1", "0,0,00,"], 2, "csv") == [3, 2, 0]
+    assert parse_lines(["0,3,11,", "1,2,10,1", "2,0,00,1"], 2, "csv") == [3, 2, 0]
+    with pytest.raises(SequenceParseError, match="n and hamming_to_prev must be ASCII digits") as exc:
+        parse_lines(["0,3,11,", "1,2,10,1", "2,0,00,"], 2, "csv")
+    assert exc.value.lineno == 3
     # a leading zero in address_dec still reads as the same value
-    assert parse_lines(["5,003,11,0"], 2, "csv") == [3]
+    assert parse_lines(["0,003,11,0"], 2, "csv") == [3]
+
+
+@pytest.mark.parametrize(
+    "rows,lineno,reason",
+    [
+        (["0,3,11,", "1,2,10,1", "0,0,00,1"], 3, "n does not count the rows from 0"),
+        (["5,3,11,0"], 1, "n does not count the rows from 0"),
+        (["0,3,11,", "2,2,10,1"], 2, "n does not count the rows from 0"),
+        (["0,3,11,", "1,2,10,2"], 2, "hamming_to_prev is not the distance to the row before"),
+        (["0,3,11,", "1,0,00,2", "2,1,01,2"], 3, "hamming_to_prev is not the distance to the row before"),
+        # a row out of order is named before a later row that is bad on its own
+        (["0,3,11,", "1,2,10,0", "2,x,00,1"], 2, "hamming_to_prev is not the distance to the row before"),
+        (["0,3,11,", "3,2,10,1", "2,x,00,1"], 2, "n does not count the rows from 0"),
+        # and a row bad on its own before one out of order
+        (["0,3,11,", "1,x,10,1", "5,0,00,1"], 2, "address_dec does not match address_bin"),
+        # at one row, a wrong n is named before a wrong distance
+        (["0,3,11,", "2,2,10,2"], 2, "n does not count the rows from 0"),
+    ],
+)
+def test_csv_rows_count_from_0_and_give_the_distance_to_the_row_before(rows, lineno, reason):
+    for lines in (rows, [CSV_HEADER, *rows]):
+        with pytest.raises(SequenceParseError, match=re.escape(reason)) as exc:
+            parse_lines(lines, 2, "csv")
+        assert exc.value.lineno == lineno + (lines[0] == CSV_HEADER)
 
 
 def test_auto_detection_reads_zero_padded_hex_as_hex():
@@ -286,15 +313,17 @@ def test_bulk_parser_matches_the_line_parser(case):
 
 @st.composite
 def _csv_inputs(draw):
-    """csv rows, now and then with an n, address_dec or distance that is bad on its own."""
+    """csv rows, now and then with an n, address_dec or distance that is bad on its own or out of order."""
     m = draw(st.integers(1, 64))
-    rows = []
+    rows, prev = [], None
     for n in range(draw(st.integers(0, 12))):
         w = draw(st.integers(0, (1 << m) - 1))
-        num = draw(st.sampled_from([str(n)] * 12 + ["0", "", "-1", "\u0663"]))
+        dist = "" if prev is None else str(bin(w ^ prev).count("1"))
+        num = draw(st.sampled_from([str(n)] * 12 + ["0", "", "-1", "\u0663", f"0{n}", str(n + 1)]))
         dec = draw(st.sampled_from([str(w)] * 12 + [f"0{w}", str(w + 1), "", "x"]))
-        dist = draw(st.sampled_from([str(n % 3)] * 12 + ["", "+1", "a"]))
+        dist = draw(st.sampled_from([dist] * 12 + ["", "+1", "a", f"0{dist}", str(n % 3)]))
         rows.append(",".join([num, dec, format(w, f"0{m}b"), dist]))
+        prev = w
     header = draw(st.booleans())
     return m, "auto" if header and draw(st.booleans()) else "csv", [CSV_HEADER] * header + rows
 
