@@ -6,13 +6,11 @@ exit 0, print the full report), rank-stats (full-rank statistics),
 permute (rearrange address bits of a sequence).
 
 Each handler returns its exit code and its output as byte blocks; `_read_bytes`
-is the one reader (`_read_words` packs the words of any input into one buffer,
-64 bits a word, the buffer the analysis reads) and `_write` the one writer, so a
-reader that closes the pipe early ends every command quietly with that command's
-own exit code.  Input in the canonical shape of bin, dec or hex, n >= 1 lines
-each ended by ``\n`` and nothing else, goes into that buffer in bulk with no
-object per line; any other input, csv included, goes through `parse_lines`.  `gen` builds one SequenceSpec and formats the engine kernel's
-packed blocks for it.
+is the one reader, whose bytes `formats._packed_input` reads, in any format, into
+one buffer of packed 64-bit words, the buffer the analysis reads, and `_write` the
+one writer, so a reader that closes the pipe early ends every command quietly
+with that command's own exit code.  `gen` builds one SequenceSpec and formats
+the engine kernel's packed blocks for it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 """
@@ -29,13 +27,12 @@ from . import __version__
 
 # formats serves every command (integer options, parsing, writing); each handler
 # imports the rest of what it runs, so a spawn loads no module it does not use
-from .formats import FORMATS, _BLOCK, _ascii_int, _byte_blocks, _check_m, _packed, _packed_input, _pieces
-from .formats import _split_lines, parse_lines
+from .formats import FORMATS, _BLOCK, _ascii_int, _byte_blocks, _check_m, _packed_input, _pieces
 
 # verify holds every word in 8 bytes, a presence map (a byte per address for a full
 # period, a set of the words for a sparse input) and a byte per distance: at m=20 about
-# 51 MB for canonical bin, 41 MB for canonical dec and 35 MB for canonical hex, read in bulk,
-# and, parsing lines, 143 MB for any other input and 545 MB for csv, doubling per bit
+# 51 MB for bin, 31 MB for dec, CRLF or not, 35 MB for hex, 82 MB for padded bin and
+# 99 MB for csv, with no object per line, doubling per bit
 DEFAULT_VERIFY_CAP = 28
 
 FAMILY_HELP = (
@@ -128,18 +125,6 @@ def _read_bytes(path: str | None) -> bytes:
         return fh.read()
 
 
-def _read_words(path: str | None, m: int, fmt: str) -> bytes:
-    # the input's words `_packed` and in range: canonical bin, hex and dec read in bulk, any other
-    # input by `parse_lines`, where bytes that are not UTF-8 decode to surrogates, so a bad byte names its line
-    data = _read_bytes(path)
-    packed = _packed_input(data, m, fmt)
-    if packed is None:  # the parse is the peak: neither the input nor its lines outlast their use
-        lines, data = _split_lines(data.decode("utf-8", "surrogateescape")), None
-        words, lines = parse_lines(lines, m, fmt), None
-        packed = _packed(words)
-    return packed
-
-
 def _write(blocks: Iterable[bytes]) -> None:
     # one write per block, so a pipe's reader wakes once per block; a text
     # stand-in for stdout has no buffer, so it gets each block decoded
@@ -208,7 +193,7 @@ def _cmd_verify(args) -> tuple[int, Iterable[bytes]]:
 def _cmd_analyze(args) -> tuple[int, Iterable[bytes]]:
     from .analysis import _analyze, format_report
 
-    report = _analyze(_read_words(args.input, args.m, args.format), args.m, args.max_r)
+    report = _analyze(_packed_input(_read_bytes(args.input), args.m, args.format), args.m, args.max_r)
     return int(args.command == "verify" and not report.ok), [format_report(report).encode()]
 
 
@@ -242,7 +227,7 @@ def _cmd_permute(args) -> tuple[int, Iterable[bytes]]:
         perm = list(map(_ascii_int, args.perm.split(",")))
     except ValueError:
         raise ValueError(f"--perm expects a comma list of positions, got {args.perm!r}") from None
-    packed, perm = _read_words(args.input, args.m, args.in_format), _check_perm(perm, args.m)
+    packed, perm = _packed_input(_read_bytes(args.input), args.m, args.in_format), _check_perm(perm, args.m)
     return 0, _byte_blocks((_permuted(buf, perm) for buf in _pieces(packed, _BLOCK)), args.m, args.format)
 
 

@@ -34,29 +34,28 @@ object a column at a time: bin and hex from the byte lanes, dec by one
 ``%`` template, csv by one with its bin digits in place and distances
 from one XOR of the block with itself a word up.
 
-The parser takes the whole input at once: the set of token lengths,
-``bytes.translate`` character classes, ``map(int)`` and ``max()``.  Only
-when that finds a bad line does it bisect for the first one, so every
-error names its line.  csv order, which no row shows on its own, is
-checked over the rows before the first bad one, all at once.
-
-`_packed_input` reads raw bytes in the canonical shape of a format ``gen``
-writes, n >= 1 lines each ended by ``\\n`` and nothing else, straight into
-packed words, the inverse of the emit.  Canonical bin (lines of exactly m
-digits 0/1) and hex (lines of exactly ceil(m/4) hex digits of either case,
-the first below 2^(m - 4 (ceil(m/4) - 1))) go by digit columns; canonical
-dec (lines of ASCII digits) goes in pieces.  Under ``auto`` it takes only
-what `_detect` would read the same way without weighing it: bin, hex with
-a letter, and dec whose lines are not all of one width that is hex-shaped
-or all 0/1.  Everything else, and a dec value of 2^m or more, is left to
-the parser, which names the bad line.
+Reading is the inverse.  One body reads every input as bytes: the CLI's
+raw input (`_packed_input`), and the str lines of `parse_lines` and
+`detect_format`, joined and encoded as UTF-8 with surrogates passed.
+Line ends are made ``\\n`` first (the CLI's ``\\r\\n`` and ``\\r``, in bulk),
+and a missing final one is added.  Only when some line is blank or holds
+ASCII whitespace besides its ``\\n`` does a pass, a piece at a time, keep
+the stripped non-blank lines and a byte per line that marks the blank
+ones.  ``auto`` detection reads the buffer: a prefix for the csv header,
+a strided test for one width, ``bytes.translate`` and ``in`` for the
+character classes, the first digit column for leading zeros.  bin, and
+hex of exactly ceil(m/4) digits, convert by digit columns; other hex and
+dec through ``int()`` in pieces of 64 KiB; csv a piece of rows at a time,
+their cells split once, each row's ``n`` and distance checked against its
+place.  Only when that fails does it bisect for the first bad line and
+ask it why, so every error names its line and gives its text.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from functools import cached_property, partial
+from functools import partial
 from itertools import compress, count, islice, repeat
 from operator import ne, not_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -67,8 +66,10 @@ CSV_HEADER = "n,address_dec,address_bin,hamming_to_prev"
 
 _BIN, _DEC, _HEX = b"01", b"0123456789", b"0123456789abcdefABCDEF"
 _SPACE = " \t\n\r\x0b\x0c"  # ASCII whitespace, what bytes.strip() strips
+_HEADER = CSV_HEADER.encode() + b"\n"
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))  # deleted, they leave a csv row's , and \n
 _BLOCK = 1024  # words per formatted block, so a pipe sees one write per 1024 lines
-_PIECE = 1 << 16  # bytes of canonical dec converted at a time, so no list of every line is held
+_PIECE = 1 << 16  # bytes of input stripped or read through int() at a time, so no list of every line is held
 
 
 class SequenceParseError(ValueError):
@@ -161,7 +162,7 @@ def _checked_blocks(words: Iterable[int], m: int) -> Iterator[bytes]:
 # _DIGIT[j] translates a byte to the ASCII digit of its bit j, which runs 2^j zeros, 2^j ones
 _DIGIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 _ONES = bytes(map(int.bit_count, range(256)))  # translates a byte to its count of ones
-_NAMES = list(map(str, range(65)))  # each distance as csv writes it
+_NAMES = [b"%d" % k for k in range(65)]  # each distance as csv writes it
 # _PLACE[b][j] translates a base-2^b digit to its value b * j bits up: digit i's place in its byte lane
 _PLACE = {b: [bytes.maketrans(s, bytes(int(c, 16) << b * j for c in s.decode())) for j in range(8 // b)]
           for b, s in ((1, _BIN), (4, _HEX))}
@@ -236,72 +237,6 @@ def _columns(columns: Iterable[bytes], n: int, head: bytes, d: int, tail: bytes)
     return out
 
 
-def _packed_input(data: bytes, m: int, fmt: str) -> bytes | None:
-    """The words of `data` `_packed`, when it is canonical for the format `fmt` reads it in, else None.
-
-    Under ``auto``, hex needs a letter, and dec lines of more than one width
-    or not all 0/1: the rest is what `_detect` weighs, which the parser does.
-    """
-    auto, packed = fmt == "auto", None
-    if fmt in ("bin", "auto"):
-        packed = _packed_digits(data, m, 1, auto)
-    if packed is None and fmt in ("hex", "auto"):
-        packed = _packed_digits(data, m, 4, auto)
-    if packed is None and fmt in ("dec", "auto"):
-        packed = _packed_dec(data, m, auto)
-    return packed
-
-
-def _packed_digits(data: bytes, m: int, b: int, auto: bool) -> bytearray | None:
-    # canonical bin (b = 1) or hex (b = 4) `data` `_packed`, else None: digit column d - 1 - i, one
-    # strided slice translated by _PLACE, holds digit i's value at its place in byte lane b * i // 8;
-    # a lane's columns add up as ints, with no carry
-    d, digits = -(-m // b), _BIN if b == 1 else _HEX
-    n = len(data) // (d + 1)
-    ends = b"\n" * n  # each line's \n in place, and nothing but digits besides
-    if not n or len(data) != n * (d + 1) or data[d :: d + 1] != ends or data.translate(None, digits) != ends:
-        return None
-    top = m - b * (d - 1)  # bits of the first digit
-    if top < b and data[:: d + 1].translate(None, digits[: 1 << top]):
-        return None
-    if auto and b == 4 and not any(map(data.__contains__, b"abcdefABCDEF")):
-        return None  # all-digit hex, which _detect weighs against dec
-    out, per = bytearray(8 * n), 8 // b  # digits per byte lane
-    for k in range((m + 7) // 8):
-        places = range(per * k, min(per * k + per, d))
-        columns = (data[d - 1 - i :: d + 1].translate(_PLACE[b][i % per]) for i in places)
-        out[k::8] = sum(int.from_bytes(c, "little") for c in columns).to_bytes(n, "little")
-    return out
-
-
-def _packed_dec(data: bytes, m: int, auto: bool) -> bytes | None:
-    # canonical dec `data` `_packed`, else None, converted _PIECE bytes at a time, each piece cut at a
-    # line end; a value of 2^m or more is None too, left for the line path to name
-    n = data.count(b"\n")
-    ends = b"\n" * n
-    if not n or data[:1] == b"\n" or data[-1:] != b"\n" or b"\n\n" in data or data.translate(None, _DEC) != ends:
-        return None
-    width = data.index(b"\n")
-    if auto and len(data) == n * (width + 1) and data[width :: width + 1] == ends and (
-        width == (m + 3) // 4 or not data.translate(None, _BIN + b"\n")
-    ):
-        return None  # lines of one width, hex-shaped or all 0/1
-    words, at = array("Q"), 0
-    try:
-        while at < len(data):
-            end = data.find(b"\n", at + _PIECE) + 1 or len(data)
-            piece = array("Q", map(int, data[at:end].split()))
-            if max(piece) >> m:
-                return None
-            words += piece
-            at = end
-    except (OverflowError, ValueError):  # 2^64 or more, or more digits than int() reads
-        return None
-    if sys.byteorder != "little":
-        words.byteswap()
-    return words.tobytes()
-
-
 def detect_format(lines: Iterable[str], m: int) -> str:
     """Pick the format of address lines, read as `parse_lines` reads them.
 
@@ -309,7 +244,8 @@ def detect_format(lines: Iterable[str], m: int) -> str:
     lines read as both dec and hex with different values, or read as bin
     of another width.
     """
-    return _read(lines, m, _detect)
+    lines = list(lines)
+    return _read(_joined(lines), m, _detect, lines)
 
 
 def parse_lines(lines: Iterable[str], m: int, fmt: str = "auto") -> list[int]:
@@ -319,174 +255,236 @@ def parse_lines(lines: Iterable[str], m: int, fmt: str = "auto") -> list[int]:
     Unparseable lines raise SequenceParseError naming the 1-based line
     number.
     """
-    return _read(lines, m, partial(_parse, fmt=fmt))
+    lines = list(lines)
+    return list(_unpacked(_read(_joined(lines), m, partial(_parse, fmt=fmt), lines)))
 
 
-def _read(lines: Iterable[str], m: int, read: Callable[[_Tokens, int], str | list[int]]) -> str | list[int]:
-    # `read` the non-blank lines, stripped of ASCII whitespace, as tokens; the error
-    # of a bad token names its 1-based line within `lines`
+def _packed_input(data: bytes, m: int, fmt: str) -> bytes:
+    """The words of raw input bytes in `fmt` (or ``auto``), packed and in range: the CLI's reader.
+
+    Lines end at \\n, \\r\\n or \\r.  A bad line's text is its bytes decoded
+    as UTF-8, each byte that is not UTF-8 a surrogate.
+    """
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    return _read(data, m, partial(_parse, fmt=fmt))
+
+
+def _read(data: bytes, m: int, read: Callable, lines: list[str] | None = None) -> str | bytes:
+    # `read` the lines of `data`, each ended by \n, as one buffer of the non-blank lines stripped of
+    # ASCII whitespace; the error of a bad line names its 1-based line and gives its text, from
+    # `lines`, the str lines `data` joins, if given, else decoded
     _check_m(m)
-    lines = lines if isinstance(lines, list) else list(lines)  # stripped again on a bad token only
-    tokens = _Tokens(list(filter(None, map(str.strip, lines, repeat(_SPACE)))))
+    marks = None  # a byte per line of `data`, 0 for a blank one, once any line is stripped
+    if not _lacks(data, b" \t\r\x0b\x0c") or data[:1] == b"\n" or b"\n\n" in data:
+        data, marks = _stripped(data)
     try:
-        return read(tokens, m)
-    except _BadToken as bad:
-        lineno = list(compress(count(1), map(str.strip, lines, repeat(_SPACE))))[bad.index]
-        raise SequenceParseError(lineno, tokens.items[bad.index], bad.reason) from None
+        return read(data, m)
+    except _BadLine as bad:
+        lineno = bad.index + 1 if marks is None else next(islice(compress(count(1), marks), bad.index, None))
+        text = (data.split(b"\n", bad.index + 1)[bad.index].decode("utf-8", "surrogateescape") if lines is None
+                else lines[lineno - 1].strip(_SPACE))
+        raise SequenceParseError(lineno, text, bad.reason) from None
 
 
-def _parse(tokens: _Tokens, m: int, fmt: str) -> list[int]:
-    if fmt == "auto":
-        fmt = _detect(tokens, m)
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
-    skip = 1 if fmt == "csv" and tokens.items[:1] == [CSV_HEADER] else 0
-    body = _Tokens(tokens.items[skip:]) if skip else tokens
-    words = _convert(body, m, fmt)
-    if isinstance(words, str):
-        # locate pass, on failure only: bisect for the first bad token and ask it why; a csv row
-        # out of order before it, though good on its own, comes first
-        index = _first_bad(body.items, m, fmt)
-        if fmt == "csv":
-            rows = _Tokens(body.items[:index])
-            _check_order(rows, _convert(rows, m, fmt), m, skip)
-        raise _BadToken(skip + index, _convert(_Tokens([body.items[index]]), m, fmt))
-    if fmt == "csv":
-        _check_order(body, words, m, skip)
-    return words
+def _joined(lines: list[str]) -> bytes:
+    # `lines`, each ended by \n, encoded as UTF-8 with surrogates passed; a line that holds a \n of its
+    # own is stripped first, and what \n it still holds becomes \0, which no format takes
+    text = "\n".join(lines)
+    if text.count("\n") >= len(lines):
+        text = "\n".join(line.strip(_SPACE).replace("\n", "\0") for line in lines)
+    return (text + "\n").encode("utf-8", "surrogatepass") if lines else b""
 
 
-def _check_order(rows: _Tokens, words: list[int], m: int, skip: int) -> None:
-    # raise at the first of the csv `rows`, each good alone and read as `words`, whose n is not its
-    # index, or, after the first, whose distance is not its address's to the row before
-    if not words:
-        return
-    n = next(compress(count(), map(ne, map(int, rows.cells[::4]), count())), len(words))
-    # rows 1..n - 1 have their own number, so none leaves its distance empty; a distance written
-    # otherwise than in _NAMES, with a leading zero, is read by int()
-    buf, dists = _packed(islice(words, n)), rows.cells[7 : 4 * n : 4]
-    ones = _diffs(buf, buf[:8], m)[1][1:]
-    for k in compress(count(), map(ne, dists, map(_NAMES.__getitem__, ones))):
-        if int(dists[k]) != ones[k]:
-            raise _BadToken(skip + 1 + k, "hamming_to_prev is not the distance to the row before")
-    if n < len(words):
-        raise _BadToken(skip + n, "n does not count the rows from 0")
+def _lacks(data: bytes, chars: bytes) -> bool:
+    # no byte of `chars` is in `data`: a memchr per byte, with no copy
+    return not any(map(data.__contains__, chars))
 
 
-class _BadToken(Exception):
-    """Token `index` of the non-blank lines is bad, for `reason`."""
+def _cut(data: bytes) -> Iterator[bytes]:
+    # `data`, lines each ended by \n, in pieces of about _PIECE bytes cut at line ends, each a copy
+    at = 0
+    while at < len(data):
+        end = data.find(b"\n", at + _PIECE) + 1 or len(data)
+        yield data[at:end]
+        at = end
+
+
+def _stripped(data: bytes) -> tuple[bytes, bytearray]:
+    # the non-blank lines of `data` stripped of ASCII whitespace, each ended by \n, and a byte per line
+    # of `data`, 0 for a blank one; a piece at a time, so no list of every line is held
+    out, marks = bytearray(), bytearray()
+    for piece in _cut(data):
+        lines = list(map(bytes.strip, piece[:-1].split(b"\n")))
+        marks += bytes(map(bool, lines))
+        if kept := b"\n".join(filter(None, lines)):
+            out += kept + b"\n"
+    return bytes(out), marks
+
+
+class _BadLine(Exception):
+    """Line `index` of the stripped non-blank lines is bad, for `reason`."""
 
     def __init__(self, index: int, reason: str):
         self.index, self.reason = index, reason
 
 
-class _Tokens:
-    """Stripped, non-empty lines, with whole-list facts computed at most once."""
-
-    def __init__(self, items: list[str]):
-        self.items = items
-
-    @cached_property
-    def lengths(self) -> set[int]:
-        return set(map(len, self.items))
-
-    @cached_property
-    def cells(self) -> list[str]:
-        """The comma-separated cells of every token, in one list."""
-        return ",".join(self.items).split(",")
-
-    @cached_property
-    def charsets(self) -> set[bytes]:
-        """Which of the nested sets _BIN, _DEC and _HEX hold every character of every token."""
-        text = "".join(self.items)
-        if not text.isascii():
-            return set()
-        residue, fits = text.encode(), set()
-        for chars in (_BIN, _DEC, _HEX):
-            residue = residue.translate(None, chars)
-            if not residue:
-                fits.add(chars)
-        return fits
-
-
-def _detect(tokens: _Tokens, m: int) -> str:
-    # errors name a token index
-    items = tokens.items
-    if not items:
+def _detect(data: bytes, m: int) -> str:
+    # the format of `data`, stripped non-blank lines each ended by \n; errors name a line index
+    if not data:
         return "bin"
-    if items[0] == CSV_HEADER:
+    if data.startswith(_HEADER):
         return "csv"
-    if tokens.lengths == {m} and _BIN in tokens.charsets:
+    rest = data.translate(None, _HEX)  # every \n, and every byte that is no hex digit
+    n, width, d = rest.count(b"\n"), data.index(b"\n"), (m + 3) // 4
+    one_width = len(data) == n * (width + 1) and data[width :: width + 1] == b"\n" * n
+    decimal = len(rest) == n and _lacks(data, b"abcdefABCDEF")
+    binary = one_width and decimal and _lacks(data, b"23456789")
+    if binary and width == m:
         return "bin"
-    hex_shaped = tokens.lengths == {(m + 3) // 4} and _HEX in tokens.charsets
-    decimal = _DEC in tokens.charsets
-    if not hex_shaped:
-        width = len(items[0])
-        if tokens.lengths == {width} and _BIN in tokens.charsets:
-            zero_led = _first_zero_led(items)
-            if zero_led is not None:
-                raise _BadToken(zero_led, f"reads as {width}-bit bin, not {m}-bit")
-        return "dec" if decimal else "hex"
-    if not decimal or _first_zero_led(items) is not None:
-        return "hex"
-    as_dec, as_hex = list(map(int, items)), list(map(int, items, repeat(16)))
-    if as_dec != as_hex:
-        differ = next(k for k, (d, h) in enumerate(zip(as_dec, as_hex)) if d != h)
-        raise _BadToken(differ, "reads as both dec and hex; pass --format")
-    return "dec"
+    first = data[:: width + 1] if one_width and width > 1 else b""  # the first digit of every line
+    if one_width and width == d and len(rest) == n:
+        # hex-shaped: with no leading zero, digits 0-9 read as dec and as hex alike only one at a time,
+        # and from two on, the first line's nonzero top digit makes its two readings differ
+        if decimal and d > 1 and b"0" not in first:
+            raise _BadLine(0, "reads as both dec and hex; pass --format")
+        return "dec" if decimal and d == 1 else "hex"
+    if binary and b"0" in first:
+        raise _BadLine(first.index(b"0"), f"reads as {width}-bit bin, not {m}-bit")
+    return "dec" if decimal else "hex"
 
 
-def _first_zero_led(items: list[str]) -> int | None:
-    # index of the first token with a leading zero that is not "0" itself
-    return next((k for k, t in enumerate(items) if t[0] == "0" and t != "0"), None)
-
-
-def _convert(tokens: _Tokens, m: int, fmt: str) -> list[int] | str:
-    """The words of the tokens in `fmt`, or the reason some token is not an m-bit address.
-
-    Every check is a property of each token on its own, so a list fails
-    exactly when one of its tokens does; _first_bad relies on that.
-    """
-    items = tokens.items
-    if fmt == "csv":
-        if set(map(str.count, items, repeat(","))) - {3}:
-            return "expected 4 csv columns"
-        if not items:
-            return []
-        ns, decs, bins, dists = (tokens.cells[k::4] for k in range(4))
-        words = _convert(_Tokens(bins), m, "bin")
-        if isinstance(words, str):
-            return f"address_bin is not {m} bits"
-        if "" in decs or _convert(_Tokens(decs), m, "dec") != words:
-            return "address_dec does not match address_bin"
-        # only a row numbered 0, the first one written, may leave its distance empty
-        text = "".join(ns) + "".join(dists)
-        no_distance = set(compress(ns, map(not_, dists)))  # the n of each row without one
-        if not (all(ns) and text.isascii() and text.isdigit()) or no_distance - {"0"}:
-            return "n and hamming_to_prev must be ASCII digits"
-        return words
-    if fmt == "bin":
-        base, ok = 2, tokens.lengths <= {m} and _BIN in tokens.charsets
-    elif fmt == "dec":
-        base, ok = 10, _DEC in tokens.charsets
-    else:
-        items = list(map(str.removeprefix, items, repeat("0x")))
-        base, ok = 16, "" not in items and _HEX in _Tokens(items).charsets
-    if not ok:
-        return f"not a {fmt} address"
-    words = list(map(int, items, repeat(base)))
-    if words and max(words) >> m:
-        return f"value out of range for {m} bits"
+def _parse(data: bytes, m: int, fmt: str) -> bytes:
+    # the packed words of `data`, stripped non-blank lines each ended by \n, in `fmt` or as detected;
+    # on failure only, bisect for the first bad line and ask it why
+    if fmt == "auto":
+        fmt = _detect(data, m)
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
+    skip = fmt == "csv" and data.startswith(_HEADER)
+    body = data[len(_HEADER) :] if skip else data
+    words = _convert(body, m, fmt)
+    if isinstance(words, str):
+        lines, lo, prev = body.split(b"\n")[:-1], 0, b""
+        hi = len(lines)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            words = _convert(b"\n".join(lines[lo:mid]) + b"\n", m, fmt, lo, prev)
+            if isinstance(words, str):
+                hi = mid
+            else:
+                lo, prev = mid, words[-8:]
+        raise _BadLine(skip + lo, _convert(lines[lo] + b"\n", m, fmt, lo, prev))
     return words
 
 
-def _first_bad(items: list[str], m: int, fmt: str) -> int:
-    # bisect for the first token _convert rejects; the whole list is known to fail
-    lo, hi = 0, len(items)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if isinstance(_convert(_Tokens(items[lo:mid]), m, fmt), str):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+def _convert(data: bytes, m: int, fmt: str, row: int = 0, prev: bytes = b"") -> bytes | str:
+    """The packed words of `data` in `fmt`, or the reason some line is not an m-bit address.
+
+    `data` is non-blank lines, each ended by \\n.  Every check is a property
+    of each line on its own, and of a csv row's place: its number counts on
+    from `row`, and its distance is to the word before, `prev` (8 bytes, or
+    none before row 0).  So a buffer fails exactly when one of its lines
+    does, which the bisection relies on.
+    """
+    if not data:
+        return b""
+    if fmt == "csv":
+        out = bytearray()
+        for piece in _cut(data):
+            words = _rows(piece, m, row, prev)
+            if isinstance(words, str):
+                return words
+            out += words
+            row, prev = row + len(words) // 8, words[-8:]
+        return out
+    if fmt == "bin":
+        words = _packed_digits(data, m, 1)
+        return "not a bin address" if words is None else words
+    if fmt == "hex":
+        words = _packed_digits(data, m, 4)
+        if words is not None:
+            return words
+        data = (b"\n" + data).replace(b"\n0x", b"\n")  # each line's 0x dropped, behind one more \n
+        if b"\n\n" in data:  # a line that was 0x alone
+            return "not a hex address"
+        data = data[1:]
+    if data.translate(None, (_DEC if fmt == "dec" else _HEX) + b"\n"):
+        return f"not a {fmt} address"
+    words = _ints(data, m, 10 if fmt == "dec" else 16)
+    return f"value out of range for {m} bits" if words is None else words
+
+
+def _packed_digits(data: bytes, m: int, b: int) -> bytearray | None:
+    # bin (b = 1) or hex (b = 4) `data`, lines of exactly ceil(m/b) digits each ended by \n, packed, else
+    # None: digit column d - 1 - i, one strided slice translated by _PLACE, holds digit i's value at its
+    # place in byte lane b * i // 8; a lane's columns add up as ints, with no carry
+    d, digits = -(-m // b), _BIN if b == 1 else _HEX
+    n = len(data) // (d + 1)
+    ends = b"\n" * n  # each line's \n in place, and nothing but digits besides
+    if not n or len(data) != n * (d + 1) or data[d :: d + 1] != ends or data.translate(None, digits) != ends:
+        return None
+    top = m - b * (d - 1)  # bits of the first digit
+    if top < b and data[:: d + 1].translate(None, digits[: 1 << top]):
+        return None
+    out, per = bytearray(8 * n), 8 // b  # digits per byte lane
+    for k in range((m + 7) // 8):
+        places = range(per * k, min(per * k + per, d))
+        columns = (data[d - 1 - i :: d + 1].translate(_PLACE[b][i % per]) for i in places)
+        out[k::8] = sum(int.from_bytes(c, "little") for c in columns).to_bytes(n, "little")
+    return out
+
+
+def _ints(data: bytes, m: int, base: int) -> bytearray | None:
+    # `data`, lines of ASCII digits in `base` each ended by \n, packed a piece at a time into a buffer
+    # of their final size, so no list of every line is held; None for a value of 2^m or more
+    out, at = bytearray(8 * data.count(b"\n")), 0
+    with memoryview(out).cast("Q") as words:
+        for piece in _cut(data):
+            lines = piece.split()
+            try:
+                try:
+                    piece = array("Q", map(int, lines, repeat(base)))
+                except ValueError:  # more decimal digits than int() reads: again, with no leading zeros
+                    piece = array("Q", map(int, [line.lstrip(b"0") or b"0" for line in lines]))
+            except (OverflowError, ValueError):  # 2^64 or more
+                return None
+            if max(piece) >> m:
+                return None
+            if sys.byteorder != "little":
+                piece.byteswap()
+            words[at : at + len(piece)], at = piece, at + len(piece)
+    return out
+
+
+def _rows(rows: bytes, m: int, row: int, prev: bytes) -> bytes | str:
+    # the packed words of csv `rows`, each ended by \n, numbered from `row` after the word `prev`, or
+    # the reason one is bad: its columns, each alone, then its number, then its distance
+    n = rows.count(b"\n")
+    if rows.translate(None, _NOT_SEPARATOR) != b",,,\n" * n:
+        return "expected 4 csv columns"
+    cells = rows.replace(b"\n", b",").split(b",")
+    ns, decs, bins, dists = (cells[k:-1:4] for k in range(4))
+    words = _convert(b"\n".join(bins) + b"\n", m, "bin")
+    if isinstance(words, str):
+        return f"address_bin is not {m} bits"
+    if b"" in decs or _convert(b"\n".join(decs) + b"\n", m, "dec") != words:
+        return "address_dec does not match address_bin"
+    # only a row numbered 0, the first one written, may leave its distance empty
+    if not all(ns) or (b"".join(ns) + b"".join(dists)).translate(None, _DEC) or (
+        set(compress(ns, map(not_, dists))) - {b"0"}
+    ):
+        return "n and hamming_to_prev must be ASCII digits"
+    # each n against its row's number, and each distance against its word's to the one before, as
+    # csv writes them; a cell written otherwise, with leading zeros, is compared without them
+    names = list(map(b"%d".__mod__, range(row, row + n)))
+    for k in compress(range(n), map(ne, ns, names)):
+        if (ns[k].lstrip(b"0") or b"0") != names[k]:
+            return "n does not count the rows from 0"
+    names, skip = list(map(_NAMES.__getitem__, _diffs(words, prev or words[:8], m)[1])), 0 if prev else 1
+    for k in compress(range(skip, n), map(ne, dists[skip:], names[skip:])):
+        if (dists[k].lstrip(b"0") or b"0") != names[k]:
+            return "hamming_to_prev is not the distance to the row before"
+    return words

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import addrseq
 from addrseq.analysis import _CHUNK
-import addrseq.cli
-from addrseq.cli import _read_words, main
-from addrseq.formats import SequenceParseError, _split_lines, _unpacked
+import addrseq.formats
+from addrseq.cli import _read_bytes, main
+from addrseq.formats import CSV_HEADER, SequenceParseError, _packed_input, _unpacked
 
 import _line_format
 import _line_parser
@@ -562,6 +562,18 @@ def test_bytes_that_are_not_utf8_give_one_error_from_either_source(capsys, monke
     assert run_cli(capsys, *argv) == (2, "", "addrseq: line 3: not a hex address: '\\udcff0'\n")
 
 
+def test_a_decimal_line_past_the_digit_limit_of_int_names_its_line():
+    # int() refuses more than 4300 decimal digits: that once printed its own message, with no line
+    ones = "1" * 5000
+    assert run_main(["verify", "-m", "8", "--format", "dec"], f" {ones}\n2\n") == (
+        2, "", f"addrseq: line 1: value out of range for 8 bits: '{ones}'\n")
+    code, out, err = run_main(["verify", "-m", "8", "--format", "dec"], " %s1\r\n2\r\n" % ("0" * 5000))
+    assert (code, err) == (1, "") and "length=2\n" in out
+    csv = f"{CSV_HEADER}\n0,{ones},00000001,\n"
+    assert run_main(["analyze", "-m", "8", "--format", "csv"], csv) == (
+        2, "", f"addrseq: line 2: address_dec does not match address_bin: '0,{ones},00000001,'\n")
+
+
 def test_analyze_rejects_non_ascii_digits(capsys, monkeypatch):
     # the Arabic-Indic three once read as 3, and this input reported complete=true
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO("0\n1\n2\n\u0663\n".encode())))
@@ -963,7 +975,7 @@ def test_cli_matches_the_library(case, auto, max_r, rng, out_fmt):
 
     in_fmt = "auto" if auto else fmt
     try:
-        parsed = addrseq.parse_lines(text.splitlines(), m, in_fmt)
+        parsed = _line_parser.parse(text.splitlines(), m, in_fmt)
     except addrseq.SequenceParseError:
         parsed = None  # a short prefix can read as two formats; auto must then refuse it
     if parsed is not None:
@@ -1179,56 +1191,37 @@ def test_gen_and_permute_keep_the_exit_contract(runs, data):
 
 
 def _read_by_cli(data, m, fmt):
-    """`_read_words` on `data` as stdin: its words or parse error, and whether it read in bulk.
-
-    A read went in bulk when it never called the line parser.
-    """
-    saved, parse, calls = sys.stdin, addrseq.cli.parse_lines, []
+    """The CLI's read of `data` as stdin: its words or parse error, and whether it skipped the stripping pass."""
+    saved, strip, calls = sys.stdin, addrseq.formats._stripped, []
 
     def spy(*args):
         calls.append(args)
-        return parse(*args)
+        return strip(*args)
 
-    addrseq.cli.parse_lines = spy
+    addrseq.formats._stripped = spy
     try:
         with io.TextIOWrapper(io.BytesIO(data)) as sys.stdin:
-            packed = _read_words(None, m, fmt)
+            packed = _packed_input(_read_bytes(None), m, fmt)
     except SequenceParseError as exc:
         return (exc.lineno, str(exc)), not calls
     finally:
-        sys.stdin, addrseq.cli.parse_lines = saved, parse
+        sys.stdin, addrseq.formats._stripped = saved, strip
     return list(_unpacked(packed)), not calls
 
 
 def _read_by_lines(data, m, fmt):
-    # the reference: the decoded text, split and parsed line by line
+    # the reference: the decoded text, split at each line end and parsed line by line
     try:
-        return addrseq.parse_lines(_split_lines(data.decode("utf-8", "surrogateescape")), m, fmt)
+        return _line_parser.parse(re.split(r"\r\n|\r|\n", data.decode("utf-8", "surrogateescape")), m, fmt)
     except SequenceParseError as exc:
         return exc.lineno, str(exc)
 
 
-def _canonical_for(data, m, fmt):
-    """Whether `data` has the canonical shape of the format `fmt` reads it in, and is in range.
-
-    n >= 1 lines, each ended by \\n: exactly m digits 0/1 for bin, exactly
-    ceil(m/4) hex digits of either case, the first of them in range, for
-    hex, and ASCII digits for dec.  Under auto, hex needs a letter and dec
-    lines of more than one width, or not all 0/1; the rest is what
-    detection weighs.
-    """
-    if not re.fullmatch(rb"([^\n]+\n)+", data) or fmt == "csv":
-        return False
-    lines, d = data.split(b"\n")[:-1], (m + 3) // 4
-    is_bin = all(re.fullmatch(rb"[01]{%d}" % m, ln) for ln in lines)
-    is_hex = all(re.fullmatch(rb"[0-9a-fA-F]{%d}" % d, ln) for ln in lines) and all(
-        int(ln[:1], 16) < 1 << (m - 4 * (d - 1)) for ln in lines)
-    is_dec = all(re.fullmatch(rb"[0-9]+", ln) for ln in lines) and max(map(int, lines)) < 1 << m
-    if fmt != "auto":
-        return {"bin": is_bin, "hex": is_hex, "dec": is_dec}[fmt]
-    one_width = len(set(map(len, lines))) == 1
-    weighed = one_width and (len(lines[0]) == d or all(re.fullmatch(rb"[01]+", ln) for ln in lines))
-    return is_bin or is_hex and re.search(rb"[a-fA-F]", data) is not None or is_dec and not weighed
+def _skips_the_stripping_pass(data):
+    """Whether `data`, its line ends made \\n and a final one added, has no blank line and no ASCII
+    whitespace but \\n: CRLF, a missing final newline and lines that detection weighs among them."""
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return not re.search(rb"[ \t\x0b\x0c]|^\n|\n\n", data)
 
 
 # edits of a canonical input: each is one near miss of its shape, or a line of another shape
@@ -1287,16 +1280,18 @@ def reader_inputs(draw):
 @example((64, b"%d\n" % ((1 << 64) - 1)))
 @example((64, b"%d\n" % (1 << 64)))
 @example((5, b"2f\n3f\n"))  # a hex top digit out of range
-@example((12, b"123\n456\n"))  # hex-shaped digits: read as dec, but weighed first
-@example((12, b"10\n11\n"))  # dec of one width in 0/1: read as dec, but weighed first
+@example((12, b"123\n456\n"))  # hex-shaped digits that read as dec and as hex: refused at line 1
+@example((12, b"10\n11\n"))  # dec of one width in 0/1
+@example((8, b"10\n\n 20\r\n"))  # a blank line and padding: stripped, and refused at line 1
+@example((40, b"10\r\n11\r\n01"))  # bin of another width, CRLF and no final newline: refused at line 3
 @example((8, b"%d\n" % (1 << 8)))
 def test_the_column_reader_matches_the_line_parser(case):
     m, data = case
     for fmt in ("auto", "bin", "dec", "hex", "csv"):
-        words, in_bulk = _read_by_cli(data, m, fmt)
+        words, unstripped = _read_by_cli(data, m, fmt)
         assert words == _read_by_lines(data, m, fmt), fmt
-        # without this, a reader that never reads in bulk would pass
-        assert in_bulk == _canonical_for(data, m, fmt), fmt
+        # without this, a reader that always strips its lines would pass
+        assert unstripped == _skips_the_stripping_pass(data), fmt
 
 
 @pytest.mark.parametrize("m", [1, 8, 9, 64])
@@ -1326,7 +1321,7 @@ def test_no_command_gates_the_words_its_own_reader_produced(monkeypatch):
     # the reader holds every word to the range rule once; verify, analyze and permute hand its
     # packed buffer on, and gen formats the kernel's packed blocks, so neither the word gate,
     # which packs and checks a word list again, nor an AddressStream around the words ever runs;
-    # and gen's bin, dec and hex output is read in bulk, never by the line parser
+    # and gen's output, in every format, is read with no stripping pass
     for name in ("addrseq.analysis", "addrseq.families", "addrseq.generate"):
         importlib.import_module(name)
     runs = []
@@ -1334,14 +1329,14 @@ def test_no_command_gates_the_words_its_own_reader_produced(monkeypatch):
         text = run_main(["gen", "-m", "6", "--family", "random:1", "--format", fmt])[1]
         for argv in (["verify", "-m", "6"], ["analyze", "-m", "6"],
                      ["permute", "-m", "6", "--perm", "6,5,4,3,2,1", "--format", fmt]):
-            runs.append((argv, text, run_main(argv, text), fmt != "csv"))
+            runs.append((argv, text, run_main(argv, text)))
         for variant in ([], ["--down", "--a0", "0x15", "--b0", "0x7"], ["--shift", "12"],
                         ["--engine", "direct"]):
             argv = ["gen", "-m", "6", "--family", "random:1", *variant, "--format", fmt]
-            runs.append((argv, "", run_main(argv), True))
+            runs.append((argv, "", run_main(argv)))
 
     def refuse(*args):
-        raise AssertionError("a CLI command ran the word gate or built a stream")
+        raise AssertionError("a CLI command ran the word gate, built a stream or stripped its lines")
 
     for attr, binders in (("_checked_blocks", {"formats", "analysis", "families"}),
                           ("AddressStream", {"generate", "families"})):
@@ -1350,10 +1345,9 @@ def test_no_command_gates_the_words_its_own_reader_produced(monkeypatch):
         assert {mod.__name__ for mod in bound} >= {f"addrseq.{b}" for b in binders}
         for mod in bound:
             monkeypatch.setattr(mod, attr, refuse)
-    parse = addrseq.cli.parse_lines
-    for argv, text, (code, out, err), in_bulk in runs:
+    monkeypatch.setattr(addrseq.formats, "_stripped", refuse)
+    for argv, text, (code, out, err) in runs:
         assert (code, err) == (0, "")
-        monkeypatch.setattr(addrseq.cli, "parse_lines", refuse if in_bulk else parse)
         assert run_main(argv, text)[:2] == (code, out), argv
 
 
@@ -1376,26 +1370,34 @@ def test_a_bad_line_is_reported_before_a_bad_option_value(argv, message):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 @pytest.mark.parametrize(
-    "argv,fmt",
+    "argv,fmt,copy",
     [
-        (["verify", "-m", "20", "--max-r", "1"], "bin"),
-        (["verify", "-m", "20", "--max-r", "1"], "dec"),
-        (["verify", "-m", "20", "--max-r", "1"], "hex"),
-        (["permute", "-m", "20", "--perm", ",".join(map(str, range(20, 0, -1)))], "bin"),
-        (["permute", "-m", "20", "--perm", ",".join(map(str, range(20, 0, -1)))], "dec"),
+        (["verify", "-m", "20", "--max-r", "1"], "bin", None),
+        (["verify", "-m", "20", "--max-r", "1"], "dec", None),
+        (["verify", "-m", "20", "--max-r", "1"], "hex", None),
+        (["verify", "-m", "20", "--max-r", "1"], "dec", "crlf"),
+        (["verify", "-m", "20", "--max-r", "1"], "dec", "no final newline"),
+        (["permute", "-m", "20", "--perm", ",".join(map(str, range(20, 0, -1)))], "bin", None),
+        (["permute", "-m", "20", "--perm", ",".join(map(str, range(20, 0, -1)))], "dec", None),
     ],
-    ids=["verify-bin", "verify-dec", "verify-hex", "permute-bin", "permute-dec"],
+    ids=["verify-bin", "verify-dec", "verify-hex", "verify-crlf-dec", "verify-dec-no-final-newline",
+         "permute-bin", "permute-dec"],
 )
-def test_a_canonical_run_at_m20_peaks_below_60_mb(tmp_path, argv, fmt):
+def test_a_canonical_run_at_m20_peaks_below_60_mb(tmp_path, argv, fmt, copy):
     # the packed buffer is 8 MB at m = 20 and no word list is built: bin and hex are read by
-    # digit columns and dec in pieces (a list of 2^20 ints took the peak to about 71 MB, and the
-    # line parser to 142 MB for dec and 150 MB for hex); a fresh helper spawns the run and reads
-    # its peak from its own RUSAGE_CHILDREN, so that no other test's children count
+    # digit columns and dec in pieces (a list of 2^20 ints took the peak to about 71 MB, and
+    # parsing str lines to 142 MB for dec and 150 MB for hex); CRLF line ends are made \n in
+    # bulk and a missing final one is added, so neither strips the lines; a fresh helper spawns
+    # the run and reads its peak from its own RUSAGE_CHILDREN, so that no other test's children count
     path = tmp_path / f"seq.{fmt}"
-    with open(path, "wb") as out:
-        subprocess.run([sys.executable, "-m", "addrseq.cli", "gen", "-m", "20", "--family", "random:1",
-                        "--format", fmt],
-                       stdout=out, env=child_env(), check=True, timeout=120)
+    text = subprocess.run([sys.executable, "-m", "addrseq.cli", "gen", "-m", "20", "--family", "random:1",
+                           "--format", fmt],
+                          stdout=subprocess.PIPE, env=child_env(), check=True, timeout=120).stdout
+    if copy == "crlf":
+        text = text.replace(b"\n", b"\r\n")
+    elif copy == "no final newline":
+        text = text[:-1]
+    path.write_bytes(text)
     helper = (
         "import resource, subprocess, sys\n"
         "with open(sys.argv[1], 'rb') as fh:\n"

@@ -209,6 +209,23 @@ def test_csv_rows_count_from_0_and_give_the_distance_to_the_row_before(rows, lin
         assert exc.value.lineno == lineno + (lines[0] == CSV_HEADER)
 
 
+def test_decimal_lines_past_the_digit_limit_of_int_read_or_name_their_line():
+    # int() refuses more than 4300 decimal digits; such a line once escaped as a bare ValueError
+    assert parse_lines(["0" * 5000 + "1"], 8, "dec") == [1]
+    assert parse_lines(["0,%s,00000001," % ("0" * 5000 + "1")], 8, "csv") == [1]
+    with pytest.raises(SequenceParseError, match="line 2: value out of range for 8 bits"):
+        parse_lines(["3", " " + "1" * 5000], 8, "dec")
+    with pytest.raises(SequenceParseError, match="line 2: address_dec does not match address_bin"):
+        parse_lines([CSV_HEADER, "0,%s,00000001," % ("1" * 5000)], 8, "csv")
+    # a csv row's n and distance too, which are compared with the row's place
+    zeros = "0" * 5000
+    assert parse_lines(["0,0,00,", f"{zeros}1,1,01,{zeros}1"], 2, "csv") == [0, 1]
+    with pytest.raises(SequenceParseError, match="line 2: n does not count the rows from 0"):
+        parse_lines(["0,0,00,", "1" * 5000 + ",1,01,1"], 2, "csv")
+    with pytest.raises(SequenceParseError, match="line 2: hamming_to_prev is not the distance to the row before"):
+        parse_lines(["0,0,00,", "1,1,01," + "1" * 5000], 2, "csv")
+
+
 def test_auto_detection_reads_zero_padded_hex_as_hex():
     words = [n << 4 for n in range(10)]
     lines = list(format_lines(words, 8, "hex"))
