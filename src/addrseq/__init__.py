@@ -32,17 +32,16 @@ _EXPORTS = {
         "tuple_balance",
         "verify_complete",
     ),
+    "census": (
+        "FULLRANK_LIMIT", "RANK_DEFICIT_LIMIT", "exhaustive_rank_counts", "expected_rank_deficit",
+        "fullrank_acceptance_rate", "fullrank_probability", "sampled_rank_counts",
+    ),
+    "common": ("FORMATS",),
     "families": (
-        "FULLRANK_LIMIT",
-        "RANK_DEFICIT_LIMIT",
         "PermutationCount",
         "XorShift64Star",
         "complement_matrix",
-        "exhaustive_rank_counts",
-        "expected_rank_deficit",
         "family_matrix",
-        "fullrank_acceptance_rate",
-        "fullrank_probability",
         "graycode_matrix",
         "limited_matrix",
         "linear_matrix",
@@ -51,9 +50,8 @@ _EXPORTS = {
         "power2_matrix",
         "quasirandom_matrix",
         "random_fullrank_matrix",
-        "sampled_rank_counts",
     ),
-    "formats": ("FORMATS", "SequenceParseError", "format_lines", "parse_lines"),
+    "formats": ("SequenceParseError", "format_lines", "parse_lines"),
     "generate": (
         "AddressStream",
         "SequenceSpec",

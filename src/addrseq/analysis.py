@@ -30,7 +30,7 @@ from collections import deque
 from itertools import count, repeat
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .formats import _BLOCK, _bit_columns, _check_m, _checked_blocks, _diffs, _pieces, _unpacked
+from .common import _BLOCK, _bit_columns, _check_m, _checked_blocks, _diffs, _pieces, _unpacked
 
 if TYPE_CHECKING:  # gf2 is loaded only when a report names a word
     from .gf2 import BitVector

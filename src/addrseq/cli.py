@@ -25,9 +25,8 @@ from typing import Iterable, Sequence
 
 from . import __version__
 
-# formats serves every command (integer options, parsing, writing); each handler
-# imports the rest of what it runs, so a spawn loads no module it does not use
-from .formats import FORMATS, _BLOCK, _ascii_int, _byte_blocks, _check_m, _packed_input, _pieces
+# every command reads common; each handler imports the rest of what it runs, so gen compiles no reader
+from .common import FORMATS, _BLOCK, _ascii_int, _byte_blocks, _check_m, _pieces
 
 # verify holds every word in 8 bytes, a presence map (a byte per address for a full
 # period, a set of the words for a sparse input) and a byte per distance: at m=20 about
@@ -119,8 +118,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_bytes(path: str | None) -> bytes:
     if path is None:  # a text stand-in has no buffer: its text is encoded back, as a pipe gives it
-        buffer = getattr(sys.stdin, "buffer", None)
-        return buffer.read() if buffer is not None else sys.stdin.read().encode("utf-8", "surrogateescape")
+        if (buffer := getattr(sys.stdin, "buffer", None)) is not None:
+            return buffer.read()
+        try:  # a surrogate that no byte stands for is passed as is, which makes its line bad
+            return (text := sys.stdin.read()).encode("utf-8", "surrogateescape")
+        except UnicodeEncodeError:
+            return text.encode("utf-8", "surrogatepass")
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -192,13 +195,14 @@ def _cmd_verify(args) -> tuple[int, Iterable[bytes]]:
 
 def _cmd_analyze(args) -> tuple[int, Iterable[bytes]]:
     from .analysis import _analyze, format_report
+    from .formats import _packed_input
 
     report = _analyze(_packed_input(_read_bytes(args.input), args.m, args.format), args.m, args.max_r)
     return int(args.command == "verify" and not report.ok), [format_report(report).encode()]
 
 
 def _cmd_rank_stats(args) -> tuple[int, Iterable[bytes]]:
-    from .families import _rank_summary, exhaustive_rank_counts, fullrank_probability, sampled_rank_counts
+    from .census import _rank_summary, exhaustive_rank_counts, fullrank_probability, sampled_rank_counts
 
     m = args.m
     lines = [f"m={m}", f"analytic_fullrank_probability={fullrank_probability(m):.13f}"]
@@ -222,6 +226,7 @@ def _cmd_rank_stats(args) -> tuple[int, Iterable[bytes]]:
 
 def _cmd_permute(args) -> tuple[int, Iterable[bytes]]:
     from .families import _check_perm, _permuted
+    from .formats import _packed_input
 
     try:
         perm = list(map(_ascii_int, args.perm.split(",")))

@@ -28,27 +28,23 @@ output always round-trips.
 Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, in sequence and matrix
 text alike.
 
-Formatting takes blocks of packed 64-bit words, the generator's own or
-those `_checked_blocks` packs and checks, and renders each into one bytes
-object a column at a time: bin and hex from the byte lanes, dec by one
-``%`` template, csv by one with its bin digits in place and distances
-from one XOR of the block with itself a word up.
-
-Reading is the inverse.  One body reads every input as bytes: the CLI's
-raw input (`_packed_input`), and the str lines of `parse_lines` and
-`detect_format`, joined and encoded as UTF-8 with surrogates passed.
-Line ends are made ``\\n`` first (the CLI's ``\\r\\n`` and ``\\r``, in bulk),
-and a missing final one is added.  Only when some line is blank or holds
-ASCII whitespace besides its ``\\n`` does a pass, a piece at a time, keep
-the stripped non-blank lines and a byte per line that marks the blank
-ones.  ``auto`` detection reads the buffer: a prefix for the csv header,
-a strided test for one width, ``bytes.translate`` and ``in`` for the
-character classes, the first digit column for leading zeros.  bin, and
-hex of exactly ceil(m/4) digits, convert by digit columns; other hex and
-dec through ``int()`` in pieces of 64 KiB; csv a piece of rows at a time,
-their cells split once, each row's ``n`` and distance checked against its
-place.  Only when that fails does it bisect for the first bad line and
-ask it why, so every error names its line and gives its text.
+This module is the reader; the writer is in `common`, which `gen` loads
+without it.  One body reads every input as bytes: the CLI's raw input
+(`_packed_input`), and the str lines of `parse_lines` and `detect_format`,
+joined and encoded as UTF-8 with surrogates passed.  Line ends are made
+``\\n`` first (the CLI's ``\\r\\n`` and ``\\r``, in bulk), and a missing
+final one is added.  The CLI's canonical bin, m digits 0/1 a line, is then
+read by digit columns with no other scan.  Else only when a line is blank
+or holds ASCII whitespace besides its ``\\n`` does a pass, a piece at a
+time, keep the stripped non-blank lines and a byte per line that marks the
+blank ones.  ``auto`` detection reads the buffer: a prefix for the csv
+header, a strided test for one width, ``bytes.translate`` and ``in`` for
+the character classes, the first digit column for leading zeros.  bin, and
+hex of ceil(m/4) digits, convert by digit columns; other hex and dec
+through ``int()`` in pieces of 64 KiB; csv a piece of rows at a time, its
+cells split once, each row's ``n`` and distance checked against its place.
+Only on failure does it bisect for the first bad line and ask it why, so
+every error names its line and gives its text.
 """
 
 from __future__ import annotations
@@ -58,18 +54,18 @@ from array import array
 from functools import partial
 from itertools import compress, count, islice, repeat
 from operator import ne, not_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
-FORMATS = ("bin", "dec", "hex", "csv")
-
-CSV_HEADER = "n,address_dec,address_bin,hamming_to_prev"
+from .common import CSV_HEADER, FORMATS, _SPACE, _byte_blocks, _check_m, _checked_blocks, _diffs, _unpacked
 
 _BIN, _DEC, _HEX = b"01", b"0123456789", b"0123456789abcdefABCDEF"
-_SPACE = " \t\n\r\x0b\x0c"  # ASCII whitespace, what bytes.strip() strips
 _HEADER = CSV_HEADER.encode() + b"\n"
 _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))  # deleted, they leave a csv row's , and \n
-_BLOCK = 1024  # words per formatted block, so a pipe sees one write per 1024 lines
 _PIECE = 1 << 16  # bytes of input stripped or read through int() at a time, so no list of every line is held
+_NAMES = [b"%d" % k for k in range(65)]  # each distance as csv writes it
+# _PLACE[b][j] translates a base-2^b digit to its value b * j bits up: digit i's place in its byte lane
+_PLACE = {b: [bytes.maketrans(s, bytes(int(c, 16) << b * j for c in s.decode())) for j in range(8 // b)]
+          for b, s in ((1, _BIN), (4, _HEX))}
 
 
 class SequenceParseError(ValueError):
@@ -79,31 +75,6 @@ class SequenceParseError(ValueError):
         self.lineno = lineno
         self.line = line
         super().__init__(f"line {lineno}: {reason}: {line!r}")
-
-
-def _split_lines(text: str) -> list[str]:
-    """The lines of `text`, ended by \\n, \\r\\n or \\r only.
-
-    Other characters that ``str.splitlines`` breaks at, such as \\x1c or
-    U+2028, stay inside their line, where they make it bad.
-    """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
-
-
-def _ascii_int(text: str) -> int:
-    """`text` read as an optional '-' and ASCII digits: the rule for every integer option."""
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{text!r} is not an integer")
-    return int(text)
-
-
-def _check_m(m: int, low: int = 1) -> None:
-    """The width rule of every entry point that takes a word width `m`: an int, not a bool."""
-    if m.__class__ is not int or not low <= m <= 64:
-        raise ValueError(f"m must be in {low}..64, got {m}")
 
 
 def format_lines(words: Iterable[int], m: int, fmt: str = "bin") -> Iterator[str]:
@@ -116,125 +87,6 @@ def format_lines(words: Iterable[int], m: int, fmt: str = "bin") -> Iterator[str
     for text in _byte_blocks(_checked_blocks(words, m), m, fmt):
         yield from text.decode().splitlines()
 
-
-def _packed(words: Iterable[int]) -> bytes:
-    """`words` as little-endian unsigned 64-bit integers.
-
-    Byte lane k (every 8th byte from k) holds bits 8k..8k+7 of every
-    word.  A word that is not an int raises TypeError, and one outside
-    0..2^64 - 1 raises OverflowError.
-    """
-    packed = array("Q", words)
-    if sys.byteorder != "little":
-        packed.byteswap()
-    return packed.tobytes()
-
-
-def _unpacked(buf: bytes) -> Sequence[int]:
-    # the words `_packed` put in `buf`: read in place on a little-endian host, else a swapped copy
-    if sys.byteorder == "little":
-        return memoryview(buf).cast("Q")
-    (words := array("Q", buf)).byteswap()
-    return words
-
-
-def _pieces(buf: bytes, n: int) -> Iterator[bytes]:
-    # the words `_packed` in `buf`, n at a time, each piece a copy
-    return (buf[i : i + 8 * n] for i in range(0, len(buf), 8 * n))
-
-
-def _checked_blocks(words: Iterable[int], m: int) -> Iterator[bytes]:
-    """`words` `_packed` in blocks of at most _BLOCK: the word-range rule.
-
-    A word that is not an int raises TypeError, one outside 0..2^m - 1 ValueError.
-    """
-    words = iter(words)
-    while block := list(islice(words, _BLOCK)):
-        try:
-            buf = _packed(block)
-        except OverflowError:
-            buf = None
-        if buf is None or max(block) >> m:
-            raise ValueError(f"value out of range for {m} bits")
-        yield buf
-
-
-# _DIGIT[j] translates a byte to the ASCII digit of its bit j, which runs 2^j zeros, 2^j ones
-_DIGIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
-_ONES = bytes(map(int.bit_count, range(256)))  # translates a byte to its count of ones
-_NAMES = [b"%d" % k for k in range(65)]  # each distance as csv writes it
-# _PLACE[b][j] translates a base-2^b digit to its value b * j bits up: digit i's place in its byte lane
-_PLACE = {b: [bytes.maketrans(s, bytes(int(c, 16) << b * j for c in s.decode())) for j in range(8 // b)]
-          for b, s in ((1, _BIN), (4, _HEX))}
-
-
-def _bit_columns(buf: bytes, m: int) -> Iterator[bytes]:
-    """Bit b of every word `_packed` put in `buf`, as a column of ASCII digits, for b = 0..m - 1.
-
-    Byte lane k holds bits 8k..8k+7 of every word; translated by _DIGIT,
-    it gives the digits of one of its bits.  One lane and one column are
-    held at a time.
-    """
-    for k in range((m + 7) // 8):
-        lane = buf[k::8]
-        for j in range(min(8, m - 8 * k)):
-            yield lane.translate(_DIGIT[j])
-
-
-def _byte_blocks(blocks: Iterable[bytes], m: int, fmt: str) -> Iterator[bytes]:
-    """The lines of the words in `blocks`, each `_packed` and in range, as one bytes object per block.
-
-    Each block is built a column at a time, with no Python call per word.
-    csv's header comes first, on its own; its row numbers and distances
-    run on across blocks.
-    """
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
-    _check_m(m)
-    if fmt == "bin":
-        for buf in blocks:
-            yield _columns(_bit_columns(buf, m), len(buf) // 8, b"", m, b"\n")
-    elif fmt == "hex":
-        d = (m + 3) // 4
-        for buf in blocks:
-            # each word is 16 hex digits, two per byte, high nibble first: nibble p is digit p ^ 1
-            digits = buf.hex().encode()
-            yield _columns((digits[p ^ 1 :: 16] for p in range(d)), len(buf) // 8, b"", d, b"\n")
-    elif fmt == "dec":
-        for buf in blocks:
-            yield (b"%d\n" * (len(buf) // 8)) % tuple(_unpacked(buf))
-    else:
-        yield CSV_HEADER.encode() + b"\n"
-        row, prev = 0, b""
-        for buf in blocks:
-            n = len(buf) // 8
-            # each word's distance to the one before (the first's to itself, a 0 dropped below)
-            dists = _diffs(buf, prev or buf[:8], m)[1]
-            v = [0] * (3 * n)  # the row number, word and distance of each row, in turn
-            v[::3], v[1::3], v[2::3] = range(row, row + n), _unpacked(buf), dists
-            text = _columns(_bit_columns(buf, m), n, b"%d,%d,", m, b",%d\n") % tuple(v)
-            yield text.replace(b",0\n", b",\n", 1) if row == 0 else text
-            row, prev = row + n, buf[-8:]
-
-
-def _diffs(buf: bytes, prev: bytes, m: int) -> tuple[bytes, bytes]:
-    # each word `_packed` in `buf` XORed with the one before it (`prev`, 8 bytes, before the first),
-    # packed, and the ones of each XOR word, a byte each: the ones per byte summed over the m bits'
-    # byte lanes as ints, at most 64 a word, so no sum carries into the next
-    block = int.from_bytes(buf, "little")
-    diffs = (block ^ (block << 64 | int.from_bytes(prev, "little"))).to_bytes(len(buf) + 8, "little")[:-8]
-    ones = diffs.translate(_ONES)
-    total = sum(int.from_bytes(ones[k::8], "little") for k in range((m + 7) // 8))
-    return diffs, total.to_bytes(len(buf) // 8, "little")
-
-
-def _columns(columns: Iterable[bytes], n: int, head: bytes, d: int, tail: bytes) -> bytearray:
-    # n rows of `head`, d digits and `tail`, a digit column, last digit first, per stride
-    width = len(head) + d + len(tail)
-    out = bytearray(head + bytes(d) + tail) * n
-    for j, column in enumerate(columns):
-        out[len(head) + d - 1 - j :: width] = column
-    return out
 
 
 def detect_format(lines: Iterable[str], m: int) -> str:
@@ -269,6 +121,10 @@ def _packed_input(data: bytes, m: int, fmt: str) -> bytes:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if data and not data.endswith(b"\n"):
         data += b"\n"
+    _check_m(m)
+    # lines of m 0/1 digits are canonical bin, which no pass strips and `auto` reads as bin: read at once
+    if fmt in ("auto", "bin") and (words := _packed_digits(data, m, 1)) is not None:
+        return words
     return _read(data, m, partial(_parse, fmt=fmt))
 
 

@@ -50,8 +50,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator, Sequence
 
-from .formats import _BLOCK, _packed
-from .gf2 import BitsLike, BitVector, GenerationMatrix, _combine, _Value, as_bitvector
+from .common import _BLOCK, _combine, _packed
+from .gf2 import BitsLike, BitVector, GenerationMatrix, _Value, as_bitvector
 
 
 def _affine_blocks(

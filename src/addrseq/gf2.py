@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from itertools import accumulate, repeat
 from operator import xor
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
-from .formats import _SPACE, _check_m, _split_lines
+from .common import _SPACE, _check_m, _combine, _split_lines, _tables_of
 
 MAX_WIDTH = 64
 
@@ -261,27 +261,6 @@ class GenerationMatrix(_Value):
 
     def __repr__(self) -> str:
         return f"GenerationMatrix([{', '.join(str(r) for r in self.rows)}])"
-
-
-def _tables_of(rows: Sequence[int]) -> tuple[list[int], ...]:
-    # table j holds, at index s, the XOR of the rows 8j + i picked by the bits i of the
-    # byte s; never mutated after this
-    tables = []
-    for j in range(0, len(rows), 8):
-        table = [0]
-        for row in rows[j : j + 8]:
-            table += [t ^ row for t in table]
-        tables.append(table)
-    return tuple(tables)
-
-
-def _combine(tables: Sequence[Sequence[int]], selector: int) -> int:
-    # XOR of the rows picked by the selector's bits, one byte-table lookup per 8 rows
-    acc = 0
-    for table in tables:
-        acc ^= table[selector & 255]
-        selector >>= 8
-    return acc
 
 
 def linear_combination(matrix: GenerationMatrix, selector: BitsLike) -> BitVector:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
-from .formats import _check_m
+from .common import _check_m
 from .gf2 import BitsLike, BitVector, as_bitvector
 
 

@@ -562,6 +562,21 @@ def test_bytes_that_are_not_utf8_give_one_error_from_either_source(capsys, monke
     assert run_cli(capsys, *argv) == (2, "", "addrseq: line 3: not a hex address: '\\udcff0'\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze", "permute"])
+def test_a_surrogate_that_no_byte_stands_for_names_its_line_from_a_text_stdin(command):
+    # a text stand-in for stdin once printed "'utf-8' codec can't encode character '\ud800'",
+    # naming no line, where parse_lines names line 2 for the same text
+    text = "00\n\ud80001\n"
+    with pytest.raises(SequenceParseError, match="^line 2: "):
+        addrseq.parse_lines(text.splitlines(), 2)
+    argv = [command, "-m", "2", *(["--perm", "2,1"] if command == "permute" else [])]
+    code, out, err = run_main(argv, text)
+    assert (code, out) == (2, "")
+    assert err.startswith("addrseq: line 2: not a hex address: ") and err.count("\n") == 1
+    # a surrogate that stands for a byte still reads back as that byte
+    assert run_main(argv, "00\n\udcff01\n") == (2, "", "addrseq: line 2: not a hex address: '\\udcff01'\n")
+
+
 def test_a_decimal_line_past_the_digit_limit_of_int_names_its_line():
     # int() refuses more than 4300 decimal digits: that once printed its own message, with no line
     ones = "1" * 5000
@@ -1209,6 +1224,21 @@ def _read_by_cli(data, m, fmt):
     return list(_unpacked(packed)), not calls
 
 
+def test_canonical_bin_is_read_with_no_scan_for_blank_lines_padding_or_format(monkeypatch):
+    # lines of m 0/1 digits, as gen writes them, go straight to the column read under auto and
+    # bin alike: no blank-line or whitespace scan, no stripping pass and no detection runs
+    def refuse(*args):
+        raise AssertionError("canonical bin took a scan of the general path")
+
+    for name in ("_lacks", "_stripped", "_detect", "_read"):
+        monkeypatch.setattr(addrseq.formats, name, refuse)
+    for fmt in ("auto", "bin"):
+        for m, words in ((1, [1, 0]), (6, list(range(64))), (64, [(1 << 64) - 1, 0, 5])):
+            data = as_text(format(w, f"0{m}b") for w in words).encode()
+            assert list(_unpacked(_packed_input(data, m, fmt))) == words
+            assert list(_unpacked(_packed_input(data.replace(b"\n", b"\r\n"), m, fmt))) == words
+
+
 def _read_by_lines(data, m, fmt):
     # the reference: the decoded text, split at each line end and parsed line by line
     try:
@@ -1338,7 +1368,7 @@ def test_no_command_gates_the_words_its_own_reader_produced(monkeypatch):
     def refuse(*args):
         raise AssertionError("a CLI command ran the word gate, built a stream or stripped its lines")
 
-    for attr, binders in (("_checked_blocks", {"formats", "analysis", "families"}),
+    for attr, binders in (("_checked_blocks", {"common", "formats", "analysis", "families"}),
                           ("AddressStream", {"generate", "families"})):
         bound = [mod for name, mod in sys.modules.items()
                  if name.split(".")[0] == "addrseq" and hasattr(mod, attr)]

@@ -34,9 +34,9 @@ from addrseq import (
     sampled_rank_counts,
     verify_complete,
 )
-from addrseq.families import _LANES as B
-from addrseq.families import _jump
-from addrseq.gf2 import _combine
+from addrseq.census import _LANES as B
+from addrseq.census import _jump
+from addrseq.common import _combine
 
 from _tables import (
     EXPECTED_DEFICIT_M4,

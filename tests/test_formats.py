@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from addrseq import FORMATS, SequenceParseError, format_lines, parse_lines
 from addrseq.cli import _write
-from addrseq.formats import (
-    _BLOCK, CSV_HEADER, _byte_blocks, _checked_blocks, _packed, _unpacked, detect_format,
-)
+from addrseq.common import _BLOCK, CSV_HEADER, _byte_blocks, _checked_blocks, _packed, _unpacked
+from addrseq.formats import detect_format
 
 import _line_format
 import _line_parser

@@ -21,7 +21,7 @@ from addrseq import (
     random_fullrank_matrix,
     verify_complete,
 )
-from addrseq.formats import _BLOCK, FORMATS, _byte_blocks
+from addrseq.common import _BLOCK, FORMATS, _byte_blocks
 from addrseq.generate import _affine, _affine_blocks
 
 import _line_format

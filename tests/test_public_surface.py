@@ -176,6 +176,29 @@ def test_generate_stays_the_function_after_its_module_loads(first):
     )
 
 
+# the addrseq modules each command loads, past the package and cli: rank-stats no matrix, family or
+# reader, gen no reader, census or analysis, and verify no generator, family or census
+COMMAND_MODULES = {
+    "gen -m 17 --family linear --count 1": {"common", "families", "generate", "gf2"},
+    "rank-stats -m 32 -n 100 --seed 1": {"common", "census"},
+    "verify -m 2": {"common", "formats", "analysis"},
+    "matrix -m 12 --family random:1 --check": {"common", "families", "generate", "gf2"},
+}
+
+
+@pytest.mark.parametrize("argv", COMMAND_MODULES, ids=lambda argv: argv.split()[0])
+def test_each_command_loads_exactly_the_modules_it_runs(argv):
+    want = {"addrseq", "addrseq.cli", *(f"addrseq.{name}" for name in COMMAND_MODULES[argv])}
+    run_child(
+        "import io, sys\n"
+        "from addrseq.cli import main\n"
+        "sys.stdin = io.StringIO('00\\n01\\n10\\n11\\n')\n"
+        f"assert main({argv.split()!r}) == 0\n"
+        "loaded = {name for name in sys.modules if name.split('.')[0] == 'addrseq'}\n"
+        f"assert sorted(loaded) == {sorted(want)!r}, sorted(loaded)\n"
+    )
+
+
 def test_generate_stays_the_function_in_this_process(capsys):
     importlib.import_module("addrseq.generate")
     assert importlib.import_module("addrseq.cli").main(["gen", "-m", "3", "--family", "linear"]) == 0
