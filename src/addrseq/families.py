@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .common import _SHIFT_MASKS, _SPACE, _STAR, _ascii_int, _check_m, _checked_blocks, _seeded, _step, _unpacked
-from .generate import AddressStream
 from .gf2 import BitsLike, GenerationMatrix, as_bitvector, rank_of_words
+
+if TYPE_CHECKING:  # the matrix and permute commands never load generate; permute_address_bits does
+    from .generate import AddressStream
 
 
 def _rotl(word: int, j: int, m: int) -> int:
@@ -209,6 +211,8 @@ def permute_address_bits(stream: AddressStream, perm: Sequence[int]) -> AddressS
     is read, a word that is not an int raises TypeError and one outside
     0..2^m - 1 raises ValueError, as `format_lines` does.
     """
+    from .generate import AddressStream
+
     perm = _check_perm(perm, stream.m)
     blocks = (_permuted(buf, perm) for buf in _checked_blocks(stream.words(), stream.m))
     return AddressStream(stream.m, stream.count, chain.from_iterable(map(_unpacked, blocks)))

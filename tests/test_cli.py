@@ -658,10 +658,12 @@ def test_gen_csv_of_no_addresses_prints_the_header_alone(capsys):
     assert (code, out, err) == (0, "n,address_dec,address_bin,hamming_to_prev\n", "")
 
 
-def child_env():
-    """The environment of a child interpreter that imports this checkout's addrseq."""
+def child_env(**extra):
+    """The environment of a child interpreter that imports this checkout's addrseq.  PYTHONUNBUFFERED
+    is dropped, so the child has the buffered stdio that a shell gives it, unless `extra` sets it."""
     src = str(Path(addrseq.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **extra}
 
 
 def run_into_a_closed_pipe(argv, stdin=None):
@@ -764,6 +766,115 @@ def test_a_command_imports_only_the_modules_it_runs(argv):
     assert code == "0"
     assert "addrseq.cli" in modules
     assert LOADS_NOT[argv[0]].isdisjoint(modules)
+
+
+# -- the process entry point -------------------------------------------------------------
+
+
+def main_with_bytes(argv, stdin=b""):
+    """cli.main in process on byte-backed stdio, as a spawn has it; return the exit code, stdout
+    and stderr as bytes.  An argparse exit is returned like main's code."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue().encode()
+
+
+def spawn_cli(argv, stdin=b"", stdout=subprocess.PIPE, env=None):
+    return subprocess.run([sys.executable, "-m", "addrseq.cli", *argv], input=stdin, stdout=stdout,
+                          stderr=subprocess.PIPE, env=env or child_env(), timeout=60)
+
+
+SEQ_12 = ["gen", "-m", "12", "--family", "random:1", "--shift", "99"]
+
+# (argv, the gen run whose output is stdin, or literal stdin bytes); every gen output at m = 16
+# is larger than a 64 KiB pipe, so the spawn's last blocks are written after the reader blocked
+SPAWN_CASES = {
+    **{f"gen-{fmt}": (["gen", "-m", "16", "--family", "random:1", "--format", fmt], b"")
+       for fmt in ("bin", "dec", "hex", "csv")},
+    "verify-pass": (["verify", "-m", "12"], SEQ_12),
+    "verify-fail": (["verify", "-m", "1"], b"0\n0\n"),
+    "analyze": (["analyze", "-m", "12", "--max-r", "2"], SEQ_12 + ["--format", "dec"]),
+    "permute": (["permute", "-m", "12", "--perm", "12,1,2,3,4,5,6,7,8,9,10,11", "--format", "hex"], SEQ_12),
+    "matrix-check": (["matrix", "-m", "12", "--family", "random:1", "--check"], b""),
+    "rank-stats": (["rank-stats", "-m", "32", "-n", "1000", "--seed", "7"], b""),
+    "input-error": (["verify", "-m", "4"], b"0000\n00x1\n"),
+    "version": (["--version"], b""),
+}
+
+
+@pytest.mark.parametrize("name", SPAWN_CASES)
+def test_a_spawn_prints_what_main_prints_in_process(name):
+    argv, stdin = SPAWN_CASES[name]
+    if isinstance(stdin, list):
+        stdin = main_with_bytes(stdin)[1]
+    want = main_with_bytes(argv, stdin)
+    proc = spawn_cli(argv, stdin)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+    assert want[0] == {"verify-fail": 1, "input-error": 2}.get(name, 0)
+    assert (b"rank=12\n" in want[2]) == (name == "matrix-check")
+    if name.startswith("gen"):
+        assert len(want[1]) > 1 << 16
+
+
+# the three ways into a process: run() itself, `python -m addrseq.cli` (run as __main__ by
+# runpy, as -m does) and the console script's wrapper, `sys.exit(<target>())`, for the
+# target that pyproject.toml names; each must end with os._exit, so no atexit handler runs
+ENTRY_PATHS = {
+    "run": "from addrseq import cli\ncli.run()\n",
+    "python -m": "import runpy\nrunpy.run_module('addrseq.cli', run_name='__main__', alter_sys=True)\n",
+    "console script": (
+        "import importlib\n"
+        "module, _, attr = {target!r}.partition(':')\n"
+        "sys.exit(getattr(importlib.import_module(module), attr)())\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("path", ENTRY_PATHS)
+def test_every_entry_path_ends_the_process_with_no_atexit_pass(path):
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    target = re.search(r'^addrseq = "([\w.:]+)"$', pyproject, re.M).group(1)
+    argv = ["gen", "-m", "16", "--family", "random:1", "--format", "hex"]
+    child = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: sys.stderr.write('atexit ran'))\n"
+        f"sys.argv = ['addrseq', *{argv!r}]\n"
+        + ENTRY_PATHS[path].format(target=target)
+    )
+    proc = subprocess.run([sys.executable, "-c", child], env=child_env(), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == main_with_bytes(argv)[1]
+
+
+# buffered stdout keeps what failed to write, so run's last flush fails again; a small output
+# fails first at main's flush, a large one at a direct write of a block bigger than the buffer
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("stdio", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv,before",
+    [
+        (["gen", "-m", "16", "--family", "linear"], ""),
+        (["gen", "-m", "4", "--family", "linear"], ""),
+        (["matrix", "-m", "12", "--family", "random:1", "--check"], "rank=12\n"),
+    ],
+    ids=["gen-m16", "gen-m4", "matrix"],
+)
+def test_a_full_disk_on_stdout_exits_2_with_one_line(argv, before, stdio):
+    with open("/dev/full", "wb") as full:
+        proc = spawn_cli(argv, stdout=full, env=child_env(**stdio))
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err.startswith(before) and err[len(before):].startswith("addrseq: [Errno 28] ")
+    assert err.count("\n") == before.count("\n") + 1 and err.endswith("\n")
 
 
 # -- rank-stats --------------------------------------------------------------------------
@@ -1369,7 +1480,7 @@ def test_no_command_gates_the_words_its_own_reader_produced(monkeypatch):
         raise AssertionError("a CLI command ran the word gate, built a stream or stripped its lines")
 
     for attr, binders in (("_checked_blocks", {"common", "formats", "analysis", "families"}),
-                          ("AddressStream", {"generate", "families"})):
+                          ("AddressStream", {"generate"})):
         bound = [mod for name, mod in sys.modules.items()
                  if name.split(".")[0] == "addrseq" and hasattr(mod, attr)]
         assert {mod.__name__ for mod in bound} >= {f"addrseq.{b}" for b in binders}

@@ -182,7 +182,8 @@ COMMAND_MODULES = {
     "gen -m 17 --family linear --count 1": {"common", "families", "generate", "gf2"},
     "rank-stats -m 32 -n 100 --seed 1": {"common", "census"},
     "verify -m 2": {"common", "formats", "analysis"},
-    "matrix -m 12 --family random:1 --check": {"common", "families", "generate", "gf2"},
+    "matrix -m 12 --family random:1 --check": {"common", "families", "gf2"},
+    "permute -m 2 --perm 2,1": {"common", "formats", "families", "gf2"},
 }
 
 
