@@ -5,6 +5,13 @@ verify (check a sequence, nonzero exit on failure), analyze (always
 exit 0, print the full report), rank-stats (full-rank statistics),
 permute (rearrange address bits of a sequence).
 
+Each subcommand's options are declared once, in the option table `_COMMANDS`.  `_read_argv` reads a
+well-formed argv through it with no argparse import: every token an exact option name followed by a
+value that does not start with '-' and converts, a flag, or the one `input` positional of verify,
+analyze and permute.  Any other argv goes to argparse, built from the same table and loaded only
+then: help, the version, an abbreviation, `--opt=value`, a glued `-m17`, `--`, a value that starts
+with '-' and every usage error.
+
 Each handler returns its exit code and its output as byte blocks; `_read_bytes`
 is the one reader, whose bytes `formats._packed_input` reads, in any format, into
 one buffer of packed 64-bit words, the buffer the analysis reads, and `_write` the
@@ -14,16 +21,17 @@ the engine kernel's packed blocks for it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.  `run`, the process entry
 point, flushes the output, then ends the process with `os._exit`: the interpreter's teardown writes
-no byte yet costs a short spawn a few ms.  Argparse's exits and uncaught errors leave as usual.
+no byte yet costs a short spawn a few ms.  Argparse's exits and uncaught errors leave as usual, once
+help or the version is flushed: a stdout that cannot take any output, those two included, exits 2
+with one `addrseq:` line.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
 from contextlib import suppress
+from types import SimpleNamespace
 from typing import Iterable, NoReturn, Sequence
 
 from . import __version__
@@ -43,78 +51,177 @@ FAMILY_HELP = (
 )
 
 
-def _int_arg(text: str) -> int:
-    # every integer option but --a0/--b0: an optional '-' and ASCII digits
-    try:
-        return _ascii_int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _int_flag(text: str) -> int:
-    # ASCII decimal, or binary/octal/hex after an explicit 0b/0o/0x prefix; int(text, 0)
+def _start_int(text: str) -> int:
+    # --a0/--b0: ASCII decimal, or binary/octal/hex after an explicit 0b/0o/0x prefix; int(text, 0)
     # alone would also take signs, spaces, underscores and non-ASCII digits
+    import re
+
     if re.fullmatch(r"0+|[1-9][0-9]*|0b[01]+|0o[0-7]+|0x[0-9a-fA-F]+", text):
         return int(text, 0)
-    raise argparse.ArgumentTypeError(f"{text!r} is not an integer (use decimal, or a 0b/0x prefix)")
+    raise ValueError(f"{text!r} is not an integer (use decimal, or a 0b/0x prefix)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="addrseq",
-        description="Generate and analyze memory-test address sequences.",
-    )
+_ONE_OF = "one of"  # exactly one of the command's options marked so is given: gen's --family or --matrix
+_FAMILY = f"matrix family: {FAMILY_HELP}"
+_M = (("-m",), _ascii_int, None, True, None)
+_INPUT = (("input",), str, None, False, "sequence file (default: stdin)")
+_SEED = (("--seed",), _ascii_int, None, False, "seed for the random family")
+_REPORT = (
+    _M,
+    _INPUT,
+    (("--format",), FORMATS + ("auto",), "auto", False, None),
+    (("--max-r",), _ascii_int, 4, False, "largest balance tuple size"),
+)
+
+# The option table, the CLI's one grammar: each subcommand's help and its options in help order.  An
+# option is its strings, its converter (a function that raises ValueError, a tuple of choices, or None
+# for a flag), its default, whether it is required (True, or _ONE_OF) and its help; a name with no '-'
+# is a positional that may be left out.  Its dest is argparse's: the last string, with the leading
+# dashes stripped and the inner ones made '_'.
+_COMMANDS = {
+    "gen": ("emit an address sequence on stdout", (
+        (("-m",), _ascii_int, None, False, "address width in bits (1..64)"),
+        (("--family",), str, None, _ONE_OF, _FAMILY),
+        (("--matrix",), str, None, _ONE_OF, "matrix text file (first line m=<int>)"),
+        (("--engine",), ("recursive", "direct"), "recursive", False, None),
+        (("--down",), None, False, False, "emit the reversed sequence"),
+        (("--shift",), _ascii_int, None, False, "emit the sequence rotated by L positions"),
+        (("--a0",), _start_int, None, False, "initial address (e.g. 0b1000 or 8; default 0)"),
+        (("--b0",), _start_int, None, False, "initial counter (e.g. 0b0011 or 3; default 0)"),
+        (("--count",), _ascii_int, None, False, "addresses to emit (default 2^m)"),
+        (("--format",), FORMATS, "bin", False, None),
+        _SEED,
+    )),
+    "matrix": ("emit a family matrix in the text format", (
+        _M,
+        (("--family",), str, None, True, _FAMILY),
+        (("--check",), None, False, False, "report the rank on stderr"),
+        _SEED,
+    )),
+    "verify": ("check a sequence; exit 1 on any property failure", (
+        *_REPORT,
+        (("--max-m",), _ascii_int, DEFAULT_VERIFY_CAP, False,
+         f"refuse widths above this cap (default {DEFAULT_VERIFY_CAP})"),
+    )),
+    "analyze": ("print the full report; always exit 0", _REPORT),
+    "rank-stats": ("full-rank statistics for random matrices", (
+        _M,
+        (("-n", "--samples"), _ascii_int, 100_000, False, None),
+        (("--seed",), _ascii_int, 0, False, None),
+        (("--exhaustive",), None, False, False, "add the exact census of all matrices"),
+    )),
+    "permute": ("rearrange the bits of every address", (
+        _M,
+        _INPUT,
+        (("--perm",), str, None, True, "comma list: output bit k reads input bit perm[k]"),
+        (("--format",), FORMATS, "bin", False, None),
+        (("--in-format",), FORMATS + ("auto",), "auto", False, None),
+    )),
+}
+
+
+def _dest(flags: tuple[str, ...]) -> str:
+    return flags[-1].lstrip("-").replace("-", "_")
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """`argv` read through `_COMMANDS`, or None if it is not one that the table reads.
+
+    The table reads an argv whose every token is an exact option name followed by a value that does
+    not start with '-' and converts, a flag, or the command's one positional.  A repeated option keeps
+    its last value, as in argparse; every required option must be given, and exactly one of gen's
+    --family and --matrix.  The namespace it returns is the one argparse would.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][1]
+    rows = {flag: row for row in options for flag in row[0]}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        is_option = token.startswith("-")
+        row = rows.get(token if is_option else "input")
+        if row is None or not is_option and "input" in values:
+            return None
+        dest, convert = _dest(row[0]), row[1]
+        if convert is None:
+            values[dest] = True
+            continue
+        value = next(tokens, "-") if is_option else token
+        if value.startswith("-"):
+            return None
+        if isinstance(convert, tuple):
+            if value not in convert:
+                return None
+        else:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        values[dest] = value
+    sources = {_dest(row[0]) for row in options if row[3] is _ONE_OF}
+    if sources and len(sources & values.keys()) != 1:
+        return None
+    for flags, _, default, required, _ in options:
+        if required is True and _dest(flags) not in values:
+            return None
+        values.setdefault(_dest(flags), default)
+    return SimpleNamespace(command=argv[0], **values)
+
+
+def _build_parser():
+    """The argparse parser of `_COMMANDS`: it prints help, the version and every usage error."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            # argparse passes over a write that fails; help and the version raise it, so that a
+            # full disk on stdout exits 2 as every command's output does
+            if file is sys.stdout and message:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
+
+    def typed(convert):
+        # a converter's ValueError is the whole message, as in `main`
+        def read(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return read
+
+    parser = Parser(prog="addrseq", description="Generate and analyze memory-test address sequences.")
     parser.add_argument("--version", action="version", version=f"addrseq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="emit an address sequence on stdout")
-    gen.add_argument("-m", type=_int_arg, help="address width in bits (1..64)")
-    src = gen.add_mutually_exclusive_group(required=True)
-    src.add_argument("--family", help=f"matrix family: {FAMILY_HELP}")
-    src.add_argument("--matrix", help="matrix text file (first line m=<int>)")
-    gen.add_argument("--engine", choices=("recursive", "direct"), default="recursive")
-    gen.add_argument("--down", action="store_true", help="emit the reversed sequence")
-    gen.add_argument("--shift", type=_int_arg, help="emit the sequence rotated by L positions")
-    gen.add_argument("--a0", type=_int_flag, help="initial address (e.g. 0b1000 or 8; default 0)")
-    gen.add_argument("--b0", type=_int_flag, help="initial counter (e.g. 0b0011 or 3; default 0)")
-    gen.add_argument("--count", type=_int_arg, help="addresses to emit (default 2^m)")
-    gen.add_argument("--format", choices=FORMATS, default="bin")
-    gen.add_argument("--seed", type=_int_arg, help="seed for the random family")
-
-    mat = sub.add_parser("matrix", help="emit a family matrix in the text format")
-    mat.add_argument("-m", type=_int_arg, required=True)
-    mat.add_argument("--family", required=True, help=f"matrix family: {FAMILY_HELP}")
-    mat.add_argument("--check", action="store_true", help="report the rank on stderr")
-    mat.add_argument("--seed", type=_int_arg, help="seed for the random family")
-
-    ver = sub.add_parser("verify", help="check a sequence; exit 1 on any property failure")
-    ana = sub.add_parser("analyze", help="print the full report; always exit 0")
-    for p in (ver, ana):
-        p.add_argument("-m", type=_int_arg, required=True)
-        p.add_argument("input", nargs="?", help="sequence file (default: stdin)")
-        p.add_argument("--format", choices=FORMATS + ("auto",), default="auto")
-        p.add_argument("--max-r", type=_int_arg, default=4, help="largest balance tuple size")
-    ver.add_argument(
-        "--max-m",
-        type=_int_arg,
-        default=DEFAULT_VERIFY_CAP,
-        help=f"refuse widths above this cap (default {DEFAULT_VERIFY_CAP})",
-    )
-
-    rs = sub.add_parser("rank-stats", help="full-rank statistics for random matrices")
-    rs.add_argument("-m", type=_int_arg, required=True)
-    rs.add_argument("-n", "--samples", type=_int_arg, default=100_000)
-    rs.add_argument("--seed", type=_int_arg, default=0)
-    rs.add_argument("--exhaustive", action="store_true", help="add the exact census of all matrices")
-
-    perm = sub.add_parser("permute", help="rearrange the bits of every address")
-    perm.add_argument("-m", type=_int_arg, required=True)
-    perm.add_argument("input", nargs="?", help="sequence file (default: stdin)")
-    perm.add_argument("--perm", required=True, help="comma list: output bit k reads input bit perm[k]")
-    perm.add_argument("--format", choices=FORMATS, default="bin")
-    perm.add_argument("--in-format", choices=FORMATS + ("auto",), default="auto")
-
+    for command, (summary, options) in _COMMANDS.items():
+        cmd, group = sub.add_parser(command, help=summary), None
+        for flags, convert, default, required, text in options:
+            if not flags[0].startswith("-"):
+                cmd.add_argument(*flags, nargs="?", help=text)
+                continue
+            if convert is None:
+                kind = {"action": "store_true"}
+            elif isinstance(convert, tuple):
+                kind = {"choices": convert}
+            else:
+                kind = {"type": None if convert is str else typed(convert)}
+            if required is _ONE_OF:
+                group = group or cmd.add_mutually_exclusive_group(required=True)
+            (group if required is _ONE_OF else cmd).add_argument(
+                *flags, default=default, required=required is True, help=text, **kind
+            )
     return parser
+
+
+def _parse(argv: Sequence[str]):
+    # argparse exits after help or the version; flushed first, a full disk on stdout is an OSError
+    try:
+        return _build_parser().parse_args(argv)
+    except SystemExit:
+        sys.stdout.flush()
+        raise
 
 
 def _read_bytes(path: str | None) -> bytes:
@@ -248,10 +355,10 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        if getattr(args, "m", None) is not None:
+        args = _read_argv(argv) or _parse(argv)
+        if args.m is not None:
             _check_m(args.m)
         code, blocks = _HANDLERS[args.command](args)
         _write(blocks)

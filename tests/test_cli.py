@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import addrseq
 from addrseq.analysis import _CHUNK
+import addrseq.cli as cli
 import addrseq.formats
 from addrseq.cli import _read_bytes, main
 from addrseq.formats import CSV_HEADER, SequenceParseError, _packed_input, _unpacked
@@ -856,7 +858,8 @@ def test_every_entry_path_ends_the_process_with_no_atexit_pass(path):
 
 
 # buffered stdout keeps what failed to write, so run's last flush fails again; a small output
-# fails first at main's flush, a large one at a direct write of a block bigger than the buffer
+# fails first at main's flush, a large one at a direct write of a block bigger than the buffer;
+# argparse's help and version fail at main's flush, or unbuffered at argparse's own write
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 @pytest.mark.parametrize("stdio", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
@@ -865,8 +868,10 @@ def test_every_entry_path_ends_the_process_with_no_atexit_pass(path):
         (["gen", "-m", "16", "--family", "linear"], ""),
         (["gen", "-m", "4", "--family", "linear"], ""),
         (["matrix", "-m", "12", "--family", "random:1", "--check"], "rank=12\n"),
+        (["--version"], ""),
+        (["gen", "--help"], ""),
     ],
-    ids=["gen-m16", "gen-m4", "matrix"],
+    ids=["gen-m16", "gen-m4", "matrix", "version", "gen-help"],
 )
 def test_a_full_disk_on_stdout_exits_2_with_one_line(argv, before, stdio):
     with open("/dev/full", "wb") as full:
@@ -875,6 +880,13 @@ def test_a_full_disk_on_stdout_exits_2_with_one_line(argv, before, stdio):
     assert proc.returncode == 2
     assert err.startswith(before) and err[len(before):].startswith("addrseq: [Errno 28] ")
     assert err.count("\n") == before.count("\n") + 1 and err.endswith("\n")
+
+
+def test_the_version_in_process_still_exits_through_system_exit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (f"addrseq {addrseq.__version__}\n", "")
 
 
 # -- rank-stats --------------------------------------------------------------------------
@@ -1311,6 +1323,169 @@ def test_gen_and_permute_keep_the_exit_contract(runs, data):
     else:
         assert (code, err) == (0, "")
         assert out == expected
+
+
+@st.composite
+def matrix_runs(draw):
+    """matrix flags with at most one fault, in any order, and the stdout and stderr a valid run prints.
+
+    The stdout is a regex; it is None for a run that must be refused.
+    """
+    fault = draw(st.sampled_from([None] * 4 + ["m", "family", "seed", "missing"]))
+
+    def pick(site, good, bad):
+        return draw(st.sampled_from(bad if fault == site else good))
+
+    m_text = pick("m", ["1", "2", "7", "12"], ["0", "65"] + _M_NEAR_MISSES)
+    m = int(m_text) if m_text in ("1", "2", "7", "12") else 12
+    families = ["linear", f"pow2:{draw(st.integers(0, m - 1))}", "complement", "gray", "quasi", "random",
+                f"random:{draw(st.integers(0, 999))}", "random:seed=5"] + ["limited"] * (m >= 2)
+    family = pick("family", families, _BAD_FAMILIES + ["limited"] * (m < 2))
+    # a bare random family needs --seed, any integer, and no other family takes it
+    seeds = ["7", "-1"] if family == "random" else [None]
+    seed = pick("seed", seeds, ["7"] if family != "random" else [None, "", "+1", "1_0", "1.0", "\u0661"])
+    check = draw(st.booleans())
+    pairs = [["-m", m_text]] + [["--family", family]] * (fault != "missing")
+    pairs += [["--seed", seed]] * (seed is not None) + [["--check"]] * check
+    argv = ["matrix", *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+    if fault is not None:
+        return argv, None, None
+    text = addrseq.family_matrix(family, m, seed=None if seed is None else int(seed)).to_text()
+    return argv, re.escape(text), f"rank={m}\n" if check else ""
+
+
+@st.composite
+def rank_stats_runs(draw):
+    """rank-stats flags with at most one fault, in any order, and the stdout and stderr a valid run prints.
+
+    The stdout is a regex; it is None for a run that must be refused.
+    """
+    fault = draw(st.sampled_from([None] * 3 + ["m", "n", "seed"]))
+
+    def pick(site, good, bad):
+        return draw(st.sampled_from(bad if fault == site else good))
+
+    m_text = pick("m", ["1", "2", "12"], ["0", "65"] + _M_NEAR_MISSES)
+    n = pick("n", ["1", "37", "200"], ["0", "-1", "+3", "", "1_0", "\u0661"])
+    seed = pick("seed", [None, "0", "-1", "123"], [s for s in _INT_NEAR_MISSES if s != "-1"])
+    exhaustive = draw(st.booleans())
+    pairs = [["-m", m_text], [draw(st.sampled_from(["-n", "--samples"])), n]]
+    pairs += [["--seed", seed]] * (seed is not None) + [["--exhaustive"]] * exhaustive
+    argv = ["rank-stats", *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+    if fault is not None:
+        return argv, None, None
+    number = r"[0-9.e-]+"
+    out = rf"m={m_text}\nanalytic_fullrank_probability={number}\n"
+    out += "".join(rf"exhaustive_{key}={number}\n" for key in ("total", "fullrank", "fullrank_fraction",
+                                                               "expected_rank_deficit")) * exhaustive
+    out += rf"samples={n}\nseed={seed or 0}\nmc_fullrank_rate={number}\nmc_expected_rank_deficit={number}\n"
+    return argv, out, ""
+
+
+@pytest.mark.parametrize("runs", [matrix_runs(), rank_stats_runs()], ids=["matrix", "rank-stats"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_matrix_and_rank_stats_keep_the_exit_contract(runs, data):
+    # a valid run prints its text, and nothing on stderr but matrix --check's rank; any other run
+    # is refused with exit 2, no output and one message or argparse's usage
+    argv, out_pattern, err_want = data.draw(runs)
+    code, out, err = run_main(argv)
+    assert "Traceback" not in err
+    if out_pattern is None:
+        assert (code, out) == (2, ""), (code, out, err)
+        usage = _USAGE_ERROR.fullmatch(err)
+        assert re.fullmatch(r"addrseq: [^\n]*\n", err) or (usage and usage[1] == argv[0]), err
+    else:
+        assert (code, err) == (0, err_want)
+        assert re.fullmatch(out_pattern, out), out
+
+
+# -- the option table against argparse ----------------------------------------------------
+
+# each command's options and the values drawn for them, valid or not, independent of the table in
+# cli; None marks a flag, and "input" the positional of the commands that read a sequence
+_NEAR_VALUES = ["", "-1", "+1", "1_0", "\u0661", "-x", "x"]
+CLI_GRAMMAR = {
+    "gen": {"-m": ["1", "4", "12"], "--family": ["linear", "random:1", "random", "nosuch"],
+            "--matrix": ["no-such-matrix.txt"], "--engine": ["recursive", "direct"], "--down": None,
+            "--shift": ["0", "3"], "--a0": ["5", "0x3"], "--b0": ["0b11", "7"], "--count": ["0", "3"],
+            "--format": [*addrseq.FORMATS, "auto"], "--seed": ["7"]},
+    "matrix": {"-m": ["1", "4", "12"], "--family": ["linear", "random:1", "random", "pow2:9"], "--check": None,
+               "--seed": ["7"]},
+    "verify": {"-m": ["1", "4", "12"], "input": ["no-such-input.txt"], "--format": [*addrseq.FORMATS, "auto"],
+               "--max-r": ["0", "1", "3"], "--max-m": ["3", "4"]},
+    "analyze": {"-m": ["1", "4", "12"], "input": ["no-such-input.txt"], "--format": [*addrseq.FORMATS, "auto"],
+                "--max-r": ["0", "1", "3"]},
+    "rank-stats": {"-m": ["1", "4", "12"], "-n": ["1", "50", "200"], "--samples": ["1", "50"],
+                   "--seed": ["0", "9"], "--exhaustive": None},
+    "permute": {"-m": ["1", "4"], "input": ["no-such-input.txt"], "--perm": ["1", "2,1,3,4", "4,3,2,1", "1,1"],
+                "--format": [*addrseq.FORMATS, "auto"], "--in-format": [*addrseq.FORMATS, "auto"]},
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of one command: each option absent, given once or repeated, in the exact, abbreviated,
+    `=`-joined or glued form, with a valid, near-miss or negative value, in any order; and at times an
+    extra positional, `--`, `-h` or `--version`.  A third of the argvs are clean, so the table reads
+    them: exact forms, valid values, no extra token and at most one of gen's --family and --matrix.  In
+    the others, `odds` valid values and exact forms are drawn for each near miss and other form."""
+    command, odds = draw(st.sampled_from(sorted(CLI_GRAMMAR))), draw(st.sampled_from([0, 20, 5]))
+    clean = odds == 0
+    items = []
+    for option, values in CLI_GRAMMAR[command].items():
+        repeats = draw(st.sampled_from([0, 1, 1, 1, 2]))
+        if clean and option == "--matrix" and any(item[0] == "--family" for item in items):
+            repeats = 0
+        for _ in range(repeats):
+            value = draw(st.sampled_from(values * odds + _NEAR_VALUES if odds else values)) if values else None
+            if option == "input":
+                items.append([value])
+                continue
+            forms = ["exact"] * odds + ["abbreviated", "joined"] + ["glued"] * (len(option) == 2)
+            form, name = draw(st.sampled_from(forms)) if odds else "exact", option
+            if form == "abbreviated" and len(option) > 3:
+                name = option[: draw(st.integers(3, len(option) - 1))]
+            if form == "joined":
+                items.append([f"{name}={value or ''}"])
+            elif form == "glued" and value is not None:
+                items.append([name + value])
+            else:
+                items.append([name] + [value] * (value is not None))
+    extras = [] if clean else draw(st.lists(st.sampled_from(["extra", "--", "-h", "--version"]), max_size=1))
+    for extra in extras:
+        items.insert(draw(st.integers(0, len(items))), [extra])
+    return [command, *(token for item in draw(st.permutations(items)) for token in item)]
+
+
+def parsed_by_argparse(argv):
+    """The namespace argparse reads from `argv`, or None when it exits (with help, the version or an error)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return cli._build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+@example(["gen", "-m", "4", "--family", "linear", "--family", "random:1", "--count", "3"])
+@example(["verify", "no-such-input.txt", "-m", "4", "--max-r", "1"])
+@example(["rank-stats", "--exhaustive", "-n", "9", "-m", "4", "--samples", "5", "--exhaustive"])
+@example(["gen", "-m", "4", "--family", "-x"])
+@example(["matrix", "-m", "4", "--family"])
+def test_the_option_table_reads_what_argparse_reads(argv):
+    # the table reads an argv as argparse does, or leaves it to argparse; it never takes one that
+    # argparse refuses, and main prints the same bytes on either path
+    table = cli._read_argv(argv)
+    if table is None:
+        return
+    parsed = parsed_by_argparse(argv)
+    assert parsed is not None, argv
+    assert vars(table) == vars(parsed)
+    with mock.patch.object(cli, "_read_argv", lambda argv: None):
+        forced = run_main(argv, FULL_4)
+    assert run_main(argv, FULL_4) == forced
 
 
 # -- the bulk reader ----------------------------------------------------------------------

@@ -177,7 +177,8 @@ def test_generate_stays_the_function_after_its_module_loads(first):
 
 
 # the addrseq modules each command loads, past the package and cli: rank-stats no matrix, family or
-# reader, gen no reader, census or analysis, and verify no generator, family or census
+# reader, gen no reader, census or analysis, and verify no generator, family or census; the option
+# table reads each argv, so none loads argparse or the gettext it imports
 COMMAND_MODULES = {
     "gen -m 17 --family linear --count 1": {"common", "families", "generate", "gf2"},
     "rank-stats -m 32 -n 100 --seed 1": {"common", "census"},
@@ -197,6 +198,7 @@ def test_each_command_loads_exactly_the_modules_it_runs(argv):
         f"assert main({argv.split()!r}) == 0\n"
         "loaded = {name for name in sys.modules if name.split('.')[0] == 'addrseq'}\n"
         f"assert sorted(loaded) == {sorted(want)!r}, sorted(loaded)\n"
+        "assert not {'argparse', 'gettext'} & set(sys.modules)\n"
     )
 
 
