@@ -5,12 +5,12 @@ verify (check a sequence, nonzero exit on failure), analyze (always
 exit 0, print the full report), rank-stats (full-rank statistics),
 permute (rearrange address bits of a sequence).
 
-Each subcommand's options are declared once, in the option table `_COMMANDS`.  `_read_argv` reads a
-well-formed argv through it with no argparse import: every token an exact option name followed by a
-value that does not start with '-' and converts, a flag, or the one `input` positional of verify,
-analyze and permute.  Any other argv goes to argparse, built from the same table and loaded only
-then: help, the version, an abbreviation, `--opt=value`, a glued `-m17`, `--`, a value that starts
-with '-' and every usage error.
+Each subcommand is one row of the option table `_COMMANDS`: its handler, its help and its options,
+declared once.  `_read_argv` reads a well-formed argv through it with no argparse import: every token
+an exact option name followed by a value that does not start with '-' and converts, a flag, or the
+one `input` positional of verify, analyze and permute.  Any other argv goes to argparse, built from
+the same table and loaded only then: help, the version, an abbreviation, `--opt=value`, a glued
+`-m17`, `--`, a value that starts with '-' and every usage error.
 
 Each handler returns its exit code and its output as byte blocks; `_read_bytes`
 is the one reader, whose bytes `formats._packed_input` reads, in any format, into
@@ -20,10 +20,10 @@ with that command's own exit code.  `gen` builds one SequenceSpec and formats
 the engine kernel's packed blocks for it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.  `run`, the process entry
-point, flushes the output, then ends the process with `os._exit`: the interpreter's teardown writes
-no byte yet costs a short spawn a few ms.  Argparse's exits and uncaught errors leave as usual, once
-help or the version is flushed: a stdout that cannot take any output, those two included, exits 2
-with one `addrseq:` line.
+point, flushes the output, then ends the process with `os._exit`, argparse's exits (help, the
+version, a usage error) included: the interpreter's teardown writes no byte yet costs a short spawn
+a few ms.  A stdout that cannot take any output, help and the version included, exits 2 with one
+`addrseq:` line, and a stderr that cannot take that line leaves the code 2.
 """
 
 from __future__ import annotations
@@ -61,65 +61,6 @@ def _start_int(text: str) -> int:
     raise ValueError(f"{text!r} is not an integer (use decimal, or a 0b/0x prefix)")
 
 
-_ONE_OF = "one of"  # exactly one of the command's options marked so is given: gen's --family or --matrix
-_FAMILY = f"matrix family: {FAMILY_HELP}"
-_M = (("-m",), _ascii_int, None, True, None)
-_INPUT = (("input",), str, None, False, "sequence file (default: stdin)")
-_SEED = (("--seed",), _ascii_int, None, False, "seed for the random family")
-_REPORT = (
-    _M,
-    _INPUT,
-    (("--format",), FORMATS + ("auto",), "auto", False, None),
-    (("--max-r",), _ascii_int, 4, False, "largest balance tuple size"),
-)
-
-# The option table, the CLI's one grammar: each subcommand's help and its options in help order.  An
-# option is its strings, its converter (a function that raises ValueError, a tuple of choices, or None
-# for a flag), its default, whether it is required (True, or _ONE_OF) and its help; a name with no '-'
-# is a positional that may be left out.  Its dest is argparse's: the last string, with the leading
-# dashes stripped and the inner ones made '_'.
-_COMMANDS = {
-    "gen": ("emit an address sequence on stdout", (
-        (("-m",), _ascii_int, None, False, "address width in bits (1..64)"),
-        (("--family",), str, None, _ONE_OF, _FAMILY),
-        (("--matrix",), str, None, _ONE_OF, "matrix text file (first line m=<int>)"),
-        (("--engine",), ("recursive", "direct"), "recursive", False, None),
-        (("--down",), None, False, False, "emit the reversed sequence"),
-        (("--shift",), _ascii_int, None, False, "emit the sequence rotated by L positions"),
-        (("--a0",), _start_int, None, False, "initial address (e.g. 0b1000 or 8; default 0)"),
-        (("--b0",), _start_int, None, False, "initial counter (e.g. 0b0011 or 3; default 0)"),
-        (("--count",), _ascii_int, None, False, "addresses to emit (default 2^m)"),
-        (("--format",), FORMATS, "bin", False, None),
-        _SEED,
-    )),
-    "matrix": ("emit a family matrix in the text format", (
-        _M,
-        (("--family",), str, None, True, _FAMILY),
-        (("--check",), None, False, False, "report the rank on stderr"),
-        _SEED,
-    )),
-    "verify": ("check a sequence; exit 1 on any property failure", (
-        *_REPORT,
-        (("--max-m",), _ascii_int, DEFAULT_VERIFY_CAP, False,
-         f"refuse widths above this cap (default {DEFAULT_VERIFY_CAP})"),
-    )),
-    "analyze": ("print the full report; always exit 0", _REPORT),
-    "rank-stats": ("full-rank statistics for random matrices", (
-        _M,
-        (("-n", "--samples"), _ascii_int, 100_000, False, None),
-        (("--seed",), _ascii_int, 0, False, None),
-        (("--exhaustive",), None, False, False, "add the exact census of all matrices"),
-    )),
-    "permute": ("rearrange the bits of every address", (
-        _M,
-        _INPUT,
-        (("--perm",), str, None, True, "comma list: output bit k reads input bit perm[k]"),
-        (("--format",), FORMATS, "bin", False, None),
-        (("--in-format",), FORMATS + ("auto",), "auto", False, None),
-    )),
-}
-
-
 def _dest(flags: tuple[str, ...]) -> str:
     return flags[-1].lstrip("-").replace("-", "_")
 
@@ -134,7 +75,7 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
-    options = _COMMANDS[argv[0]][1]
+    options = _COMMANDS[argv[0]][2]
     rows = {flag: row for row in options for flag in row[0]}
     values = {}
     tokens = iter(argv[1:])
@@ -175,10 +116,11 @@ def _build_parser():
 
     class Parser(argparse.ArgumentParser):
         def _print_message(self, message, file=None):
-            # argparse passes over a write that fails; help and the version raise it, so that a
-            # full disk on stdout exits 2 as every command's output does
+            # argparse passes over a write that fails; help and the version raise it, flushed before
+            # argparse exits, so that a full disk on stdout exits 2 as every command's output does
             if file is sys.stdout and message:
                 file.write(message)
+                file.flush()
             else:
                 super()._print_message(message, file)
 
@@ -195,7 +137,7 @@ def _build_parser():
     parser = Parser(prog="addrseq", description="Generate and analyze memory-test address sequences.")
     parser.add_argument("--version", action="version", version=f"addrseq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, options) in _COMMANDS.items():
+    for command, (_, summary, options) in _COMMANDS.items():
         cmd, group = sub.add_parser(command, help=summary), None
         for flags, convert, default, required, text in options:
             if not flags[0].startswith("-"):
@@ -213,15 +155,6 @@ def _build_parser():
                 *flags, default=default, required=required is True, help=text, **kind
             )
     return parser
-
-
-def _parse(argv: Sequence[str]):
-    # argparse exits after help or the version; flushed first, a full disk on stdout is an OSError
-    try:
-        return _build_parser().parse_args(argv)
-    except SystemExit:
-        sys.stdout.flush()
-        raise
 
 
 def _read_bytes(path: str | None) -> bytes:
@@ -344,33 +277,89 @@ def _cmd_permute(args) -> tuple[int, Iterable[bytes]]:
     return 0, _byte_blocks((_permuted(buf, perm) for buf in _pieces(packed, _BLOCK)), args.m, args.format)
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "matrix": _cmd_matrix,
-    "verify": _cmd_verify,
-    "analyze": _cmd_analyze,
-    "rank-stats": _cmd_rank_stats,
-    "permute": _cmd_permute,
+_ONE_OF = "one of"  # exactly one of the command's options marked so is given: gen's --family or --matrix
+_FAMILY = f"matrix family: {FAMILY_HELP}"
+_M = (("-m",), _ascii_int, None, True, None)
+_INPUT = (("input",), str, None, False, "sequence file (default: stdin)")
+_SEED = (("--seed",), _ascii_int, None, False, "seed for the random family")
+_REPORT = (
+    _M,
+    _INPUT,
+    (("--format",), FORMATS + ("auto",), "auto", False, None),
+    (("--max-r",), _ascii_int, 4, False, "largest balance tuple size"),
+)
+
+# The option table, the CLI's one grammar: each subcommand's handler, its help and its options in help
+# order.  An option is its strings, its converter (a function that raises ValueError, a tuple of
+# choices, or None for a flag), its default, whether it is required (True, or _ONE_OF) and its help; a
+# name with no '-' is a positional that may be left out.  Its dest is argparse's: the last string, with
+# the leading dashes stripped and the inner ones made '_'.
+_COMMANDS = {
+    "gen": (_cmd_gen, "emit an address sequence on stdout", (
+        (("-m",), _ascii_int, None, False, "address width in bits (1..64)"),
+        (("--family",), str, None, _ONE_OF, _FAMILY),
+        (("--matrix",), str, None, _ONE_OF, "matrix text file (first line m=<int>)"),
+        (("--engine",), ("recursive", "direct"), "recursive", False, None),
+        (("--down",), None, False, False, "emit the reversed sequence"),
+        (("--shift",), _ascii_int, None, False, "emit the sequence rotated by L positions"),
+        (("--a0",), _start_int, None, False, "initial address (e.g. 0b1000 or 8; default 0)"),
+        (("--b0",), _start_int, None, False, "initial counter (e.g. 0b0011 or 3; default 0)"),
+        (("--count",), _ascii_int, None, False, "addresses to emit (default 2^m)"),
+        (("--format",), FORMATS, "bin", False, None),
+        _SEED,
+    )),
+    "matrix": (_cmd_matrix, "emit a family matrix in the text format", (
+        _M,
+        (("--family",), str, None, True, _FAMILY),
+        (("--check",), None, False, False, "report the rank on stderr"),
+        _SEED,
+    )),
+    "verify": (_cmd_verify, "check a sequence; exit 1 on any property failure", (
+        *_REPORT,
+        (("--max-m",), _ascii_int, DEFAULT_VERIFY_CAP, False,
+         f"refuse widths above this cap (default {DEFAULT_VERIFY_CAP})"),
+    )),
+    "analyze": (_cmd_analyze, "print the full report; always exit 0", _REPORT),
+    "rank-stats": (_cmd_rank_stats, "full-rank statistics for random matrices", (
+        _M,
+        (("-n", "--samples"), _ascii_int, 100_000, False, None),
+        (("--seed",), _ascii_int, 0, False, None),
+        (("--exhaustive",), None, False, False, "add the exact census of all matrices"),
+    )),
+    "permute": (_cmd_permute, "rearrange the bits of every address", (
+        _M,
+        _INPUT,
+        (("--perm",), str, None, True, "comma list: output bit k reads input bit perm[k]"),
+        (("--format",), FORMATS, "bin", False, None),
+        (("--in-format",), FORMATS + ("auto",), "auto", False, None),
+    )),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _read_argv(argv) or _parse(argv)
+        args = _read_argv(argv) or _build_parser().parse_args(argv)
         if args.m is not None:
             _check_m(args.m)
-        code, blocks = _HANDLERS[args.command](args)
+        code, blocks = _COMMANDS[args.command][0](args)
         _write(blocks)
         return code
     except (ValueError, OSError) as exc:  # RankDeficiencyError and SequenceParseError too
-        print(f"addrseq: {exc}", file=sys.stderr)
+        with suppress(OSError):  # a stderr that cannot take the line leaves the code as it is
+            print(f"addrseq: {exc}", file=sys.stderr)
         return 2
 
 
 def run() -> NoReturn:
-    """Run `main`, flush stdout and stderr, and exit with no module cleanup, final GC or atexit pass."""
-    code = main()
+    """Run `main`, flush stdout and stderr, and exit with no module cleanup, final GC or atexit pass.
+
+    Argparse's exits (help, the version, a usage error) end here too, with argparse's code.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     for stream in filter(None, (sys.stdout, sys.stderr)):
         with suppress(OSError):  # only bytes that failed to write are left, and main has said so
             stream.flush()

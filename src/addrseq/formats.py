@@ -49,14 +49,12 @@ every error names its line and gives its text.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import partial
 from itertools import compress, count, islice, repeat
 from operator import ne, not_
 from typing import Callable, Iterable, Iterator
 
-from .common import CSV_HEADER, FORMATS, _SPACE, _byte_blocks, _check_m, _checked_blocks, _diffs, _unpacked
+from .common import CSV_HEADER, FORMATS, _SPACE, _byte_blocks, _check_m, _checked_blocks, _diffs, _packed, _unpacked
 
 _BIN, _DEC, _HEX = b"01", b"0123456789", b"0123456789abcdefABCDEF"
 _HEADER = CSV_HEADER.encode() + b"\n"
@@ -297,21 +295,18 @@ def _ints(data: bytes, m: int, base: int) -> bytearray | None:
     # `data`, lines of ASCII digits in `base` each ended by \n, packed a piece at a time into a buffer
     # of their final size, so no list of every line is held; None for a value of 2^m or more
     out, at = bytearray(8 * data.count(b"\n")), 0
-    with memoryview(out).cast("Q") as words:
-        for piece in _cut(data):
-            lines = piece.split()
+    for piece in _cut(data):
+        lines = piece.split()
+        try:
             try:
-                try:
-                    piece = array("Q", map(int, lines, repeat(base)))
-                except ValueError:  # more decimal digits than int() reads: again, with no leading zeros
-                    piece = array("Q", map(int, [line.lstrip(b"0") or b"0" for line in lines]))
-            except (OverflowError, ValueError):  # 2^64 or more
-                return None
-            if max(piece) >> m:
-                return None
-            if sys.byteorder != "little":
-                piece.byteswap()
-            words[at : at + len(piece)], at = piece, at + len(piece)
+                piece = _packed(map(int, lines, repeat(base)))
+            except ValueError:  # more decimal digits than int() reads: again, with no leading zeros
+                piece = _packed(map(int, [line.lstrip(b"0") or b"0" for line in lines]))
+        except (OverflowError, ValueError):  # 2^64 or more
+            return None
+        if max(_unpacked(piece)) >> m:
+            return None
+        out[at : at + len(piece)], at = piece, at + len(piece)
     return out
 
 

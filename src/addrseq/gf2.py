@@ -42,27 +42,16 @@ class RankDeficiencyError(ValueError):
 def rank_of_words(words: Iterable[int]) -> int:
     """GF(2) row rank of a collection of words, by Gaussian elimination.
 
-    Rows are reduced against previously found pivot rows, held in a list
-    indexed by their highest set bit (0 marks a free slot).  The list
-    covers 64-bit words and grows for any wider word.  The input is
-    never mutated.
+    Rows are reduced against previously found pivot rows, held in a dict
+    keyed by their bit length, so a word of any width fits.  A row whose
+    bit length has no pivot yet becomes that pivot, and XORing it with
+    itself ends its reduction.  The input is never mutated.
     """
-    pivots = [0] * MAX_WIDTH
-    rank = 0
+    pivots: dict[int, int] = {}
     for w in words:
         while w:
-            top = w.bit_length() - 1
-            try:
-                p = pivots[top]
-            except IndexError:
-                pivots.extend([0] * (top + 1 - len(pivots)))
-                p = 0
-            if not p:
-                pivots[top] = w
-                rank += 1
-                break
-            w ^= p
-    return rank
+            w ^= pivots.setdefault(w.bit_length(), w)
+    return len(pivots)
 
 
 class _Value:

@@ -859,7 +859,7 @@ def test_every_entry_path_ends_the_process_with_no_atexit_pass(path):
 
 # buffered stdout keeps what failed to write, so run's last flush fails again; a small output
 # fails first at main's flush, a large one at a direct write of a block bigger than the buffer;
-# argparse's help and version fail at main's flush, or unbuffered at argparse's own write
+# argparse's help and version fail at the flush that follows their write, or unbuffered at the write
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 @pytest.mark.parametrize("stdio", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
@@ -880,6 +880,26 @@ def test_a_full_disk_on_stdout_exits_2_with_one_line(argv, before, stdio):
     assert proc.returncode == 2
     assert err.startswith(before) and err[len(before):].startswith("addrseq: [Errno 28] ")
     assert err.count("\n") == before.count("\n") + 1 and err.endswith("\n")
+
+
+# a stderr that cannot take the one error line leaves the code 2: for an error that main reports, a
+# usage error that argparse reports, and a failed write of matrix's own rank line
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("stdio", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "-m", "99", "--family", "linear"],
+        ["gen", "-m", "4", "--fam"],
+        ["matrix", "-m", "4", "--family", "linear", "--check"],
+    ],
+    ids=["gen-bad-width", "gen-usage-error", "matrix-check"],
+)
+def test_a_full_disk_on_stderr_exits_2_with_no_output(argv, stdio):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "addrseq.cli", *argv], stdout=subprocess.PIPE,
+                              stderr=full, env=child_env(**stdio), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 def test_the_version_in_process_still_exits_through_system_exit(capsys):
@@ -1486,6 +1506,14 @@ def test_the_option_table_reads_what_argparse_reads(argv):
     with mock.patch.object(cli, "_read_argv", lambda argv: None):
         forced = run_main(argv, FULL_4)
     assert run_main(argv, FULL_4) == forced
+
+
+def test_the_readme_names_every_command_and_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags = (flag for *_, options in cli._COMMANDS.values() for row in options for flag in row[0])
+    names = {*cli._COMMANDS, *flags}  # each a whole token: no word character or '-' next to it
+    assert sorted(name for name in names if not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", section)) == []
 
 
 # -- the bulk reader ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from addrseq import FORMATS, SequenceParseError, format_lines, parse_lines
 from addrseq.cli import _write
 from addrseq.common import _BLOCK, CSV_HEADER, _byte_blocks, _checked_blocks, _packed, _unpacked
-from addrseq.formats import detect_format
+from addrseq.formats import _packed_input, detect_format
 
 import _line_format
 import _line_parser
@@ -406,12 +406,16 @@ def test_packed_words_read_back_on_a_host_of_either_byte_order(monkeypatch):
     assert _packed(words) == b"".join(w.to_bytes(8, "little") for w in words)
     assert list(_unpacked(_packed(words))) == words
     assert not isinstance(_unpacked(_packed(words)), list)  # read in place, or one array copy
-    # told the host is the other way round, both sides swap, and still agree
+    dec = b"".join(b"%d\n" % w for w in words)
+    assert _packed_input(dec, 64, "dec") == _packed(words)
+    # told the host is the other way round, both sides swap, and still agree; the reader of dec
+    # lines packs through the same rule
     other = "big" if sys.byteorder == "little" else "little"
     monkeypatch.setattr(sys, "byteorder", other)
     assert _packed(words) == b"".join(w.to_bytes(8, other) for w in words)
     assert list(_unpacked(_packed(words))) == words
     assert not isinstance(_unpacked(_packed(words)), list)  # read in place, or one array copy
+    assert _packed_input(dec, 64, "dec") == _packed(words)
 
 
 def test_csv_rows_run_on_across_blocks():
