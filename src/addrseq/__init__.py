@@ -46,7 +46,6 @@ _EXPORTS = {
         "limited_matrix",
         "linear_matrix",
         "permutation_count",
-        "permute_address_bits",
         "power2_matrix",
         "quasirandom_matrix",
         "random_fullrank_matrix",
@@ -61,6 +60,7 @@ _EXPORTS = {
         "generate_down",
         "generate_recursive",
         "generate_shifted",
+        "permute_address_bits",
     ),
     "gf2": (
         "BitVector",

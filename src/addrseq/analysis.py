@@ -10,13 +10,14 @@ checked up to r = min(m, max_r) whenever the scan passes.
 ``bit_balance`` and ``tuple_balance`` count the occurrences outright,
 for an independent cross-examination of any generator.
 
-Every check takes the sequence as int words plus its width ``m``, for
-example ``analyze(words, m)``; a generated stream gives its words
-through ``.words()``.  Anything that is not an int (a float, a digit
-string) raises TypeError, and a word outside ``0..2^m - 1`` raises
-ValueError.  The words are checked and packed into one buffer, 64 bits
-a word, as they arrive; every check reads that buffer and keeps no list
-of the words beside it.
+Every check takes the sequence as words plus its width ``m``, for
+example ``analyze(words, m)``, through the word gate of ``format_lines``
+and ``permute_address_bits``: words are read through ``operator.index``,
+so a generated stream may be passed as it is or as its ``.words()``.
+Anything else (a float, a digit string) raises TypeError, and a word
+outside ``0..2^m - 1`` raises ValueError.  The words are checked and
+packed into one buffer, 64 bits a word, as they arrive; every check
+reads that buffer and keeps no list of the words beside it.
 
 Switching activity is profiled as the Hamming distance between
 consecutive addresses, plus per-bit transition counts; the sum of the
@@ -30,7 +31,7 @@ from collections import deque
 from itertools import count, repeat
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .common import _BLOCK, _bit_columns, _check_m, _checked_blocks, _diffs, _pieces, _unpacked
+from .common import _BLOCK, _bit_columns, _checked_blocks, _diffs, _pieces, _unpacked
 
 if TYPE_CHECKING:  # gf2 is loaded only when a report names a word
     from .gf2 import BitVector
@@ -43,11 +44,9 @@ class IncompleteSequenceError(ValueError):
 
 
 def _as_words(seq: Iterable[int], m: int) -> bytearray:
-    # the words `_packed` in one buffer, held to the word-range rule of `_checked_blocks` a block at
-    # a time; operator.index refuses floats and strings, which int() would truncate or read as decimal
-    _check_m(m)
+    # the words that pass `_checked_blocks`, the word gate, in one buffer, a block at a time
     packed = bytearray()
-    for buf in _checked_blocks(map(operator.index, seq), m):
+    for buf in _checked_blocks(seq, m):
         packed += buf
     return packed
 
@@ -154,8 +153,10 @@ def tuple_balance(words: Iterable[int], positions: Iterable[int], m: int) -> dic
     complete sequence each of the 2^r patterns occurs exactly 2^(m-r)
     times; the counts are tallied by direct extraction.
     """
-    words = _require_complete(words, m)[0]
-    pos = sorted(set(map(operator.index, positions)), reverse=True)
+    words, positions = _require_complete(words, m)[0], list(positions)
+    if any(p.__class__ is not int for p in positions):
+        raise ValueError(f"positions must be ints, got {positions}")
+    pos = sorted(set(positions), reverse=True)
     if not pos:
         raise ValueError("positions must be a non-empty set of bit positions")
     if pos[0] > m or pos[-1] < 1:

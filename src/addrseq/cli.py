@@ -37,7 +37,7 @@ from typing import Iterable, NoReturn, Sequence
 from . import __version__
 
 # every command reads common; each handler imports the rest of what it runs, so gen compiles no reader
-from .common import FORMATS, _BLOCK, _ascii_int, _byte_blocks, _check_m, _pieces
+from .common import FORMATS, _BLOCK, _ascii_int, _byte_blocks, _check_m, _check_perm, _permuted, _pieces
 
 # verify holds every word in 8 bytes, a presence map (a byte per address for a full
 # period, a set of the words for a sparse input) and a byte per distance: at m=20 about
@@ -158,13 +158,9 @@ def _build_parser():
 
 
 def _read_bytes(path: str | None) -> bytes:
-    if path is None:  # a text stand-in has no buffer: its text is encoded back, as a pipe gives it
-        if (buffer := getattr(sys.stdin, "buffer", None)) is not None:
-            return buffer.read()
-        try:  # a surrogate that no byte stands for is passed as is, which makes its line bad
-            return (text := sys.stdin.read()).encode("utf-8", "surrogateescape")
-        except UnicodeEncodeError:
-            return text.encode("utf-8", "surrogatepass")
+    if path is None:  # a text stand-in has no buffer: its text is encoded as `parse_lines` encodes lines
+        buffer = getattr(sys.stdin, "buffer", None)
+        return sys.stdin.read().encode("utf-8", "surrogatepass") if buffer is None else buffer.read()
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -266,7 +262,6 @@ def _cmd_rank_stats(args) -> tuple[int, Iterable[bytes]]:
 
 
 def _cmd_permute(args) -> tuple[int, Iterable[bytes]]:
-    from .families import _check_perm, _permuted
     from .formats import _packed_input
 
     try:

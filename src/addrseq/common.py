@@ -1,10 +1,11 @@
-"""The rules every command reads, and none of the reader: the width rule, integer options and line
-ends, word packing and its range check, the block writer (`gen`, `permute`, `analysis` and the reader
-all run it), the byte tables of a row combination, and the xorshift64* seed rule and step.
+"""The rules every command reads, and none of the reader: the width rule, integer options, word
+packing, the library's one word gate, bit permutation, the block writer (`gen`, `permute`, `analysis`
+and the reader all run it), row-combination byte tables, and the xorshift64* seed rule and step.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 from itertools import islice
@@ -15,17 +16,6 @@ CSV_HEADER = "n,address_dec,address_bin,hamming_to_prev"
 
 _SPACE = " \t\n\r\x0b\x0c"  # ASCII whitespace, what bytes.strip() strips
 _BLOCK = 1024  # words per formatted block, so a pipe sees one write per 1024 lines
-
-
-def _split_lines(text: str) -> list[str]:
-    """The lines of `text`, ended by \\n, \\r\\n or \\r only.
-
-    Other characters that ``str.splitlines`` breaks at, such as \\x1c or
-    U+2028, stay inside their line, where they make it bad.
-    """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
 
 
 def _ascii_int(text: str) -> int:
@@ -69,11 +59,13 @@ def _pieces(buf: bytes, n: int) -> Iterator[bytes]:
 
 
 def _checked_blocks(words: Iterable[int], m: int) -> Iterator[bytes]:
-    """`words` `_packed` in blocks of at most _BLOCK: the word-range rule.
+    """`words` `_packed` in blocks of at most _BLOCK: the library's one word gate.
 
-    A word that is not an int raises TypeError, one outside 0..2^m - 1 ValueError.
+    `m` follows the width rule, and each word is read through operator.index: a BitVector or a bool
+    passes, a float or a string raises TypeError, and a word outside 0..2^m - 1 ValueError.
     """
-    words = iter(words)
+    _check_m(m)
+    words = map(operator.index, words)
     while block := list(islice(words, _BLOCK)):
         try:
             buf = _packed(block)
@@ -82,6 +74,22 @@ def _checked_blocks(words: Iterable[int], m: int) -> Iterator[bytes]:
         if buf is None or max(block) >> m:
             raise ValueError(f"value out of range for {m} bits")
         yield buf
+
+
+def _check_perm(perm: Sequence[int] | None, m: int) -> tuple[int, ...]:
+    # `perm`, a permutation of 1..m of ints, as a tuple; None is the identity
+    if perm is None:
+        return tuple(range(1, m + 1))
+    perm = tuple(perm)
+    if any(p.__class__ is not int for p in perm) or sorted(perm) != list(range(1, m + 1)):
+        raise ValueError(f"perm must be a permutation of 1..{m}, got {perm}")
+    return perm
+
+
+def _permuted(buf: bytes, perm: Sequence[int]) -> bytes:
+    # output bit k of every word in `buf` at once: `ones`, a 1 per 64-bit lane, picks input bit perm[k-1]
+    x, ones = int.from_bytes(buf, "little"), int.from_bytes((b"\1" + bytes(7)) * (len(buf) // 8), "little")
+    return sum((x >> (p - 1) & ones) << k for k, p in enumerate(perm)).to_bytes(len(buf), "little")
 
 
 # _DIGIT[j] translates a byte to the ASCII digit of its bit j, which runs 2^j zeros, 2^j ones

@@ -15,21 +15,18 @@ a characteristic access pattern used in memory testing:
                   default emits the base-2 van der Corput order
                   (bit-reversed counter)
 
-Also here: seeded sampling of random full-rank matrices and address-bit
-permutation of an existing stream.  The full-rank statistics are in `census`.
+Also here: seeded sampling of random full-rank matrices, the count of
+permutations and the family dispatch by name.  This module only builds
+matrices; it runs no engine, and the full-rank statistics are in `census`.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .common import _SHIFT_MASKS, _SPACE, _STAR, _ascii_int, _check_m, _checked_blocks, _seeded, _step, _unpacked
+from .common import _SHIFT_MASKS, _SPACE, _STAR, _ascii_int, _check_m, _check_perm, _seeded, _step
 from .gf2 import BitsLike, GenerationMatrix, as_bitvector, rank_of_words
-
-if TYPE_CHECKING:  # the matrix and permute commands never load generate; permute_address_bits does
-    from .generate import AddressStream
 
 
 def _rotl(word: int, j: int, m: int) -> int:
@@ -188,40 +185,6 @@ def random_fullrank_matrix(m: int, seed: int = 0, with_attempts: bool = False):
         if rank_of_words(words) == m:
             matrix = GenerationMatrix(words, m)
             return (matrix, attempts) if with_attempts else matrix
-
-
-# -- address-bit permutation --------------------------------------------------
-
-
-def _check_perm(perm: Sequence[int] | None, m: int) -> tuple[int, ...]:
-    if perm is None:
-        return tuple(range(1, m + 1))
-    perm = tuple(perm)
-    if any(p.__class__ is not int for p in perm) or sorted(perm) != list(range(1, m + 1)):
-        raise ValueError(f"perm must be a permutation of 1..{m}, got {perm}")
-    return perm
-
-
-def permute_address_bits(stream: AddressStream, perm: Sequence[int]) -> AddressStream:
-    """Rearrange the bits of every address: output bit k reads input bit perm[k-1].
-
-    A bit permutation maps a valid address sequence to a valid address
-    sequence (it is a bijection on words), which is the classic cheap
-    way of multiplying one address order into m! of them.  As the stream
-    is read, a word that is not an int raises TypeError and one outside
-    0..2^m - 1 raises ValueError, as `format_lines` does.
-    """
-    from .generate import AddressStream
-
-    perm = _check_perm(perm, stream.m)
-    blocks = (_permuted(buf, perm) for buf in _checked_blocks(stream.words(), stream.m))
-    return AddressStream(stream.m, stream.count, chain.from_iterable(map(_unpacked, blocks)))
-
-
-def _permuted(buf: bytes, perm: Sequence[int]) -> bytes:
-    # output bit k of every word in `buf` at once: `ones`, a 1 per 64-bit lane, picks input bit perm[k-1]
-    x, ones = int.from_bytes(buf, "little"), int.from_bytes((b"\1" + bytes(7)) * (len(buf) // 8), "little")
-    return sum((x >> (p - 1) & ones) << k for k, p in enumerate(perm)).to_bytes(len(buf), "little")
 
 
 class PermutationCount(NamedTuple):

@@ -94,8 +94,7 @@ def detect_format(lines: Iterable[str], m: int) -> str:
     lines read as both dec and hex with different values, or read as bin
     of another width.
     """
-    lines = list(lines)
-    return _read(_joined(lines), m, _detect, lines)
+    return _read(_joined(list(lines)), m, _detect)
 
 
 def parse_lines(lines: Iterable[str], m: int, fmt: str = "auto") -> list[int]:
@@ -105,15 +104,14 @@ def parse_lines(lines: Iterable[str], m: int, fmt: str = "auto") -> list[int]:
     Unparseable lines raise SequenceParseError naming the 1-based line
     number.
     """
-    lines = list(lines)
-    return list(_unpacked(_read(_joined(lines), m, partial(_parse, fmt=fmt), lines)))
+    return list(_unpacked(_read(_joined(list(lines)), m, partial(_parse, fmt=fmt))))
 
 
 def _packed_input(data: bytes, m: int, fmt: str) -> bytes:
     """The words of raw input bytes in `fmt` (or ``auto``), packed and in range: the CLI's reader.
 
-    Lines end at \\n, \\r\\n or \\r.  A bad line's text is its bytes decoded
-    as UTF-8, each byte that is not UTF-8 a surrogate.
+    Lines end at \\n, \\r\\n or \\r.  A bad line's text is read from its bytes
+    as `_read` reads it.
     """
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -126,10 +124,10 @@ def _packed_input(data: bytes, m: int, fmt: str) -> bytes:
     return _read(data, m, partial(_parse, fmt=fmt))
 
 
-def _read(data: bytes, m: int, read: Callable, lines: list[str] | None = None) -> str | bytes:
+def _read(data: bytes, m: int, read: Callable) -> str | bytes:
     # `read` the lines of `data`, each ended by \n, as one buffer of the non-blank lines stripped of
-    # ASCII whitespace; the error of a bad line names its 1-based line and gives its text, from
-    # `lines`, the str lines `data` joins, if given, else decoded
+    # ASCII whitespace; a bad line's error names its 1-based line and gives its text: its bytes as UTF-8
+    # with surrogates passed, as `_joined` encodes them, else with each byte that is not UTF-8 escaped
     _check_m(m)
     marks = None  # a byte per line of `data`, 0 for a blank one, once any line is stripped
     if not _lacks(data, b" \t\r\x0b\x0c") or data[:1] == b"\n" or b"\n\n" in data:
@@ -138,8 +136,11 @@ def _read(data: bytes, m: int, read: Callable, lines: list[str] | None = None) -
         return read(data, m)
     except _BadLine as bad:
         lineno = bad.index + 1 if marks is None else next(islice(compress(count(1), marks), bad.index, None))
-        text = (data.split(b"\n", bad.index + 1)[bad.index].decode("utf-8", "surrogateescape") if lines is None
-                else lines[lineno - 1].strip(_SPACE))
+        line = data.split(b"\n", bad.index + 1)[bad.index]
+        try:
+            text = line.decode("utf-8", "surrogatepass")
+        except UnicodeDecodeError:
+            text = line.decode("utf-8", "surrogateescape")
         raise SequenceParseError(lineno, text, bad.reason) from None
 
 

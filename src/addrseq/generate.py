@@ -42,7 +42,8 @@ big-int XOR per block, formatted with no stream and no word gate.
 
 Every full-length run over a full-rank matrix visits each of the ``2^m``
 addresses exactly once, for any choice of initial address and initial
-counter state.
+counter state.  `permute_address_bits` rearranges the bits of a
+stream's words, moving one bit of 1024 packed words at a time.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator, Sequence
 
-from .common import _BLOCK, _combine, _packed
+from .common import _BLOCK, _check_perm, _checked_blocks, _combine, _packed, _permuted, _unpacked
 from .gf2 import BitsLike, BitVector, GenerationMatrix, _Value, as_bitvector
 
 
@@ -144,10 +145,10 @@ class SequenceSpec(_Value):
 class AddressStream:
     """Lazily produced sequence of `count` addresses of width `m`.
 
-    `words()` drains the remaining addresses as plain ints, the form
-    the analysis functions and formats take; iterating the stream
-    yields them as BitVectors instead.  A stream is single-pass and
-    single-owner.
+    `words()` drains the remaining addresses as plain ints; iterating
+    the stream yields them as BitVectors instead.  The analysis
+    functions and `format_lines` take either.  A stream is single-pass
+    and single-owner.
     """
 
     def __init__(self, m: int, count: int, word_iter: Iterator[int]):
@@ -253,3 +254,18 @@ def generate_shifted(matrix: GenerationMatrix, shift: int, count: int | None = N
 def generate(spec: SequenceSpec) -> AddressStream:
     """Run the recursive engine a SequenceSpec describes, up or down."""
     return AddressStream(spec.m, spec.count, chain.from_iterable(_affine_blocks(*_affine(spec))))
+
+
+def permute_address_bits(stream: AddressStream, perm: Sequence[int]) -> AddressStream:
+    """Rearrange the bits of every address: output bit k reads input bit perm[k-1].
+
+    A bit permutation maps a valid address sequence to a valid address
+    sequence (it is a bijection on words), which is the classic cheap
+    way of multiplying one address order into m! of them.  As the stream
+    is read, its words pass the word gate of `format_lines` and the
+    analysis: a float or a string raises TypeError, and a word outside
+    0..2^m - 1 ValueError.
+    """
+    perm = _check_perm(perm, stream.m)
+    blocks = (_permuted(buf, perm) for buf in _checked_blocks(stream.words(), stream.m))
+    return AddressStream(stream.m, stream.count, chain.from_iterable(map(_unpacked, blocks)))

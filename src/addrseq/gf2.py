@@ -21,7 +21,7 @@ from itertools import accumulate, repeat
 from operator import xor
 from typing import Iterable, Iterator, Union
 
-from .common import _SPACE, _check_m, _combine, _split_lines, _tables_of
+from .common import _SPACE, _check_m, _combine, _tables_of
 
 MAX_WIDTH = 64
 
@@ -227,8 +227,11 @@ class GenerationMatrix(_Value):
 
     @classmethod
     def from_text(cls, text: str) -> "GenerationMatrix":
+        # a line ends at \n, \r\n or \r only: \x1c or U+2028, where str.splitlines breaks too, makes it bad
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         # (line number in the text, line) for each non-blank line, so errors name the file's line
-        stripped = map(str.rstrip, _split_lines(text), repeat(_SPACE))
+        stripped = map(str.rstrip, text.split("\n"), repeat(_SPACE))
         lines = [(i, ln) for i, ln in enumerate(stripped, 1) if ln]
         if not lines or not lines[0][1].startswith("m="):
             raise ValueError("matrix text must start with a 'm=<int>' line")

@@ -177,14 +177,15 @@ def test_generate_stays_the_function_after_its_module_loads(first):
 
 
 # the addrseq modules each command loads, past the package and cli: rank-stats no matrix, family or
-# reader, gen no reader, census or analysis, and verify no generator, family or census; the option
-# table reads each argv, so none loads argparse or the gettext it imports
+# reader, gen no reader, census or analysis, verify no generator, family or census, and permute only
+# the reader beside common, whose bit rules it runs; the option table reads each argv, so none loads
+# argparse or the gettext it imports
 COMMAND_MODULES = {
     "gen -m 17 --family linear --count 1": {"common", "families", "generate", "gf2"},
     "rank-stats -m 32 -n 100 --seed 1": {"common", "census"},
     "verify -m 2": {"common", "formats", "analysis"},
     "matrix -m 12 --family random:1 --check": {"common", "families", "gf2"},
-    "permute -m 2 --perm 2,1": {"common", "formats", "families", "gf2"},
+    "permute -m 2 --perm 2,1": {"common", "formats"},
 }
 
 
@@ -231,6 +232,7 @@ NOT_INTS = [
     ("gray perm", lambda x: addrseq.graycode_matrix(2, [2, x]), "perm must be a permutation of 1..2, got (2, {})"),
     ("zero position", lambda x: addrseq.limited_matrix(4, [x, 2, 3]),
      "zero positions must be distinct values in 1..4: ({}, 2, 3)"),
+    ("positions", lambda x: addrseq.tuple_balance(range(16), [x], 4), "positions must be ints, got [{}]"),
 ]
 
 
@@ -241,3 +243,42 @@ def test_integer_arguments_that_are_not_ints_are_refused_at_the_call(call, messa
     # the call (a TypeError from a slice or from &, an AttributeError in the census)
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(value))}$"):
         call(value)
+
+
+def _permuted_words(words, m):
+    stream = addrseq.AddressStream(m, len(words), iter(words))
+    return list(addrseq.permute_address_bits(stream, range(1, m + 1)).words())
+
+
+# every library entry that takes words, called as entry(words, m)
+WORD_ENTRIES = {
+    "format_lines": lambda words, m: list(addrseq.format_lines(words, m)),
+    "permute_address_bits": lambda words, m: _permuted_words(list(words), m),
+    "analyze": addrseq.analyze,
+    "check_completeness": addrseq.check_completeness,
+    "verify_complete": addrseq.verify_complete,
+    "bit_balance": addrseq.bit_balance,
+    "tuple_balance": lambda words, m: addrseq.tuple_balance(words, [1], m),
+    "hamming_profile": addrseq.hamming_profile,
+}
+
+
+@pytest.mark.parametrize("m, words, refusal", [
+    (2, lambda: [0, 1, 3, 2], None),
+    (2, lambda: addrseq.generate_recursive(addrseq.linear_matrix(2)), None),  # yields BitVectors
+    (1, lambda: [False, True], None),
+    (2, lambda: [0, 1.0, 3, 2], (TypeError, "'float' object cannot be interpreted as an integer")),
+    (2, lambda: [0, "1", 3, 2], (TypeError, "'str' object cannot be interpreted as an integer")),
+    (2, lambda: [0, 1, 4, 2], (ValueError, "value out of range for 2 bits")),
+    (2, lambda: [0, -1, 3, 2], (ValueError, "value out of range for 2 bits")),
+], ids=["ints", "stream", "bools", "floats", "strings", "too wide", "negative"])
+def test_every_entry_that_takes_words_takes_and_refuses_the_same_ones(m, words, refusal):
+    # format_lines once took no BitVector ('>' not supported between BitVectors) where
+    # analyze, which read its words through operator.index, took the same stream
+    for name, entry in WORD_ENTRIES.items():
+        try:
+            entry(words(), m)
+            outcome = None
+        except (TypeError, ValueError) as exc:
+            outcome = type(exc), str(exc)
+        assert outcome == refusal, name
