@@ -246,6 +246,7 @@ def test_integer_arguments_that_are_not_ints_are_refused_at_the_call(call, messa
 
 
 def _permuted_words(words, m):
+    words = list(words)  # the stream's own words: BitVectors for a generated run
     stream = addrseq.AddressStream(m, len(words), iter(words))
     return list(addrseq.permute_address_bits(stream, range(1, m + 1)).words())
 
@@ -253,7 +254,7 @@ def _permuted_words(words, m):
 # every library entry that takes words, called as entry(words, m)
 WORD_ENTRIES = {
     "format_lines": lambda words, m: list(addrseq.format_lines(words, m)),
-    "permute_address_bits": lambda words, m: _permuted_words(list(words), m),
+    "permute_address_bits": _permuted_words,
     "analyze": addrseq.analyze,
     "check_completeness": addrseq.check_completeness,
     "verify_complete": addrseq.verify_complete,
